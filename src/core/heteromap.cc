@@ -473,7 +473,7 @@ HeteroMap::predict(const Workload &workload, const Graph &graph,
         static_assert(forensics::kAuditScoreDims == kNumOutputs);
         forensics::AuditRecord record;
         record.timestampNs = telemetry::traceNowNs();
-        record.graphFingerprint = mixFingerprint(fingerprintGraph(graph));
+        record.graphFingerprint = mixFingerprint(graph.fingerprint());
         record.setModelKind(predictor_->name());
         record.setWorkload(workload.name());
         record.features = bench.features.asArray();

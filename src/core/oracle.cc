@@ -12,20 +12,30 @@
 namespace heteromap {
 
 BenchmarkCase
-makeCase(const Workload &workload, const Dataset &dataset)
+assembleCase(const Workload &workload, const std::string &input_name,
+             WorkloadProfile profile, const GraphStats &shape_stats,
+             const GraphStats &scale_stats)
 {
     BenchmarkCase bench;
     bench.workloadName = workload.name();
-    bench.inputName = dataset.shortName();
-
-    auto [output, profile] = workload.runProfiled(dataset.proxy());
-    bench.output = std::move(output);
+    bench.inputName = input_name;
     bench.profile = std::move(profile);
-
     bench.features.b = workload.bVariables();
-    bench.features.i = extractIVariables(dataset); // nominal stats
-    bench.shapeStats = dataset.proxyStats();
-    bench.scaleStats = dataset.nominal();
+    bench.features.i = extractIVariables(scale_stats);
+    bench.shapeStats = shape_stats;
+    bench.scaleStats = scale_stats;
+    return bench;
+}
+
+BenchmarkCase
+makeCase(const Workload &workload, const Dataset &dataset)
+{
+    auto [output, profile] = workload.runProfiled(dataset.proxy());
+    // I variables come from the nominal stats (the paper's values).
+    BenchmarkCase bench =
+        assembleCase(workload, dataset.shortName(), std::move(profile),
+                     dataset.proxyStats(), dataset.nominal());
+    bench.output = std::move(output);
     return bench;
 }
 
@@ -41,18 +51,11 @@ makeCase(const Workload &workload, const Graph &graph,
          const std::string &input_name, const GraphStats &shape_stats,
          const GraphStats &scale_stats)
 {
-    BenchmarkCase bench;
-    bench.workloadName = workload.name();
-    bench.inputName = input_name;
-
     auto [output, profile] = workload.runProfiled(graph);
+    BenchmarkCase bench = assembleCase(workload, input_name,
+                                       std::move(profile), shape_stats,
+                                       scale_stats);
     bench.output = std::move(output);
-    bench.profile = std::move(profile);
-
-    bench.features.b = workload.bVariables();
-    bench.features.i = extractIVariables(scale_stats);
-    bench.shapeStats = shape_stats;
-    bench.scaleStats = scale_stats;
     return bench;
 }
 

@@ -71,6 +71,19 @@ BenchmarkCase makeCase(const Workload &workload, const Graph &graph,
                        const GraphStats &shape_stats,
                        const GraphStats &scale_stats);
 
+/**
+ * Assemble a case from an already-executed @p profile: names, B
+ * variables from @p workload, I variables from @p scale_stats, and
+ * both stats. Every makeCase overload runs the workload and then
+ * calls this; the serving path calls it directly with a memoized
+ * profile (workloads/profile_cache.hh), leaving output empty.
+ */
+BenchmarkCase assembleCase(const Workload &workload,
+                           const std::string &input_name,
+                           WorkloadProfile profile,
+                           const GraphStats &shape_stats,
+                           const GraphStats &scale_stats);
+
 /** Scores benchmark cases under the performance model. */
 class Oracle
 {

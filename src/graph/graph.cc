@@ -6,10 +6,68 @@
 #include "graph/graph.hh"
 
 #include <algorithm>
+#include <bit>
+#include <type_traits>
 
+#include "util/checksum.hh"
 #include "util/logging.hh"
 
 namespace heteromap {
+
+namespace {
+
+/** hashSampled() seed of the edge-weight hash (Graph::weightsHash). */
+constexpr uint64_t kWeightsSeed = 0x3e16b75ull;
+
+/** An element's hash input: integers by value, floats by bit pattern. */
+template <typename T>
+uint64_t
+sampleBits(T value)
+{
+    if constexpr (std::is_same_v<T, float>)
+        return std::bit_cast<uint32_t>(value);
+    else
+        return static_cast<uint64_t>(value);
+}
+
+/**
+ * Order-sensitive strided hash over @p data: every stride-th element
+ * plus the last one, where the stride caps the work at
+ * kFingerprintSamples elements. @p seed decorrelates the arrays'
+ * hashes so their combined bits are independent.
+ */
+template <typename T>
+uint64_t
+hashSampled(const std::vector<T> &data, uint64_t seed)
+{
+    const std::size_t count = data.size();
+    uint64_t h = mix64(seed ^ count);
+    if (count == 0)
+        return h;
+    const std::size_t stride =
+        count <= kFingerprintSamples ? 1 : count / kFingerprintSamples;
+    for (std::size_t i = 0; i < count; i += stride)
+        h = mix64(h ^ sampleBits(data[i]));
+    return mix64(h ^ sampleBits(data[count - 1]));
+}
+
+} // namespace
+
+uint64_t
+mixFingerprint(const GraphFingerprint &fingerprint)
+{
+    uint64_t h = mix64(fingerprint.numVertices);
+    h = mix64(h ^ fingerprint.numEdges);
+    h = mix64(h ^ fingerprint.footprintBytes);
+    h = mix64(h ^ fingerprint.offsetsHash);
+    return mix64(h ^ fingerprint.neighborsHash);
+}
+
+Graph::Graph()
+{
+    fingerprint_ = computeFingerprint();
+    weightsHash_ = hashSampled(weights_, kWeightsSeed);
+}
 
 Graph::Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
              std::vector<float> weights)
@@ -22,6 +80,20 @@ Graph::Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
               "CSR offsets must end at the edge count");
     HM_ASSERT(weights_.empty() || weights_.size() == neighbors_.size(),
               "weight array arity mismatch");
+    fingerprint_ = computeFingerprint();
+    weightsHash_ = hashSampled(weights_, kWeightsSeed);
+}
+
+GraphFingerprint
+Graph::computeFingerprint() const
+{
+    GraphFingerprint fp;
+    fp.numVertices = numVertices();
+    fp.numEdges = numEdges();
+    fp.footprintBytes = footprintBytes();
+    fp.offsetsHash = hashSampled(offsets_, 0x0ff5e75ull);
+    fp.neighborsHash = hashSampled(neighbors_, 0xad7ace2ull);
+    return fp;
 }
 
 uint64_t

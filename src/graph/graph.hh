@@ -4,6 +4,29 @@
  * substrate every workload, generator, and feature extractor operates
  * on. Graphs are directed at the storage level; undirected graphs are
  * stored symmetrized (both arcs present).
+ *
+ * Every Graph carries its content fingerprint, computed once at
+ * construction: a cheap structural identity that the stats and
+ * profile caches, the serving batcher, shard routing, and audit
+ * records all read instead of re-hashing the CSR arrays per request.
+ * The fingerprint hashes the vertex and edge counts, the byte
+ * footprint, and strided samples of the offset and neighbor arrays
+ * (capped at kFingerprintSamples elements per array, so it stays
+ * O(1)-ish however large the graph). It is content-based, not
+ * identity-based: two Graph objects holding the same CSR arrays — a
+ * copy, or the same chunk re-cut from a stream — agree. Graphs small
+ * enough to fall under the cap are covered exactly; above it the
+ * fingerprint is probabilistic — two graphs that agree on counts and
+ * on every sampled element collide, which for a performance
+ * predictor means serving the structurally-twin graph's stats, not
+ * a correctness failure. Edge weight values are not in the
+ * fingerprint (only their count, through the footprint), so shard
+ * routing and the stats cache — whose measurement never reads
+ * weights — treat weight twins as one graph. Weights are hashed
+ * separately, with the same sampling, into weightsHash(): the
+ * profile cache and the serving batcher key on it too, because
+ * workloads read weights (SSSP-Delta picks its bucket width from
+ * them).
  */
 
 #ifndef HETEROMAP_GRAPH_GRAPH_HH
@@ -25,6 +48,27 @@ using EdgeId = uint64_t;
 /** Sentinel for "no vertex". */
 inline constexpr VertexId kInvalidVertex = UINT32_MAX;
 
+/** Content fingerprint of a graph's CSR structure. */
+struct GraphFingerprint {
+    uint64_t numVertices = 0;
+    uint64_t numEdges = 0;
+    uint64_t footprintBytes = 0;
+    uint64_t offsetsHash = 0;
+    uint64_t neighborsHash = 0;
+
+    bool operator==(const GraphFingerprint &) const = default;
+};
+
+/** Elements sampled per CSR array when fingerprinting. */
+inline constexpr std::size_t kFingerprintSamples = 4096;
+
+/**
+ * Mix a fingerprint's five fields into one 64-bit hash — the compact
+ * graph identity used for shard routing and stamped into
+ * flight-recorder audit records.
+ */
+uint64_t mixFingerprint(const GraphFingerprint &fingerprint);
+
 /**
  * CSR graph with optional per-edge float weights.
  *
@@ -36,7 +80,7 @@ class Graph
 {
   public:
     /** Build an empty graph. */
-    Graph() = default;
+    Graph();
 
     /**
      * Adopt prebuilt CSR arrays. @p offsets must have size V+1 with
@@ -116,10 +160,28 @@ class Graph
     /** Raw neighbor array (size E). */
     const std::vector<VertexId> &rawNeighbors() const { return neighbors_; }
 
+    /**
+     * Content fingerprint (see the file comment), fixed at
+     * construction. A moved-from Graph keeps its old value; like any
+     * moved-from object it may only be assigned to or destroyed.
+     */
+    const GraphFingerprint &fingerprint() const { return fingerprint_; }
+
+    /**
+     * Strided sampled hash of the edge-weight bit patterns (see the
+     * file comment), fixed at construction; one constant for every
+     * unweighted graph.
+     */
+    uint64_t weightsHash() const { return weightsHash_; }
+
   private:
     std::vector<EdgeId> offsets_;
     std::vector<VertexId> neighbors_;
     std::vector<float> weights_;
+    GraphFingerprint fingerprint_;
+    uint64_t weightsHash_ = 0;
+
+    GraphFingerprint computeFingerprint() const;
 };
 
 } // namespace heteromap

@@ -1,21 +1,12 @@
 /**
  * @file
- * Memoized GraphStats: a thread-safe, bounded LRU cache keyed by a
- * cheap structural fingerprint of the CSR arrays, so repeat
- * deployments of a known graph skip measurement (the dominant online
- * cost for large inputs) entirely.
- *
- * The fingerprint is content-based, not identity-based: two Graph
- * objects holding the same CSR arrays — a copy, or the same chunk
- * re-cut from a stream — hit the same entry. It hashes the vertex
- * and edge counts, the byte footprint, and strided samples of the
- * offset and neighbor arrays (capped at kFingerprintSamples elements
- * per array, so fingerprinting stays O(1)-ish however large the
- * graph). Graphs small enough to fall under the cap are covered
- * exactly; above it the fingerprint is probabilistic — two graphs
- * that agree on counts and on every sampled element collide, which
- * for a performance predictor means serving the structurally-twin
- * graph's stats, not a correctness failure.
+ * Memoized GraphStats: a thread-safe, bounded LRU cache keyed by the
+ * graph's content fingerprint (Graph::fingerprint(), computed once
+ * when the graph is built), so repeat deployments of a known graph
+ * skip measurement (the dominant online cost for large inputs)
+ * entirely. Two Graph objects holding the same CSR arrays hit the
+ * same entry; see graph/graph.hh for the fingerprint scheme and its
+ * collision semantics.
  *
  * Measurement parameters (sweeps, seed) are part of the cache key:
  * the same graph measured at different diameter-probe budgets yields
@@ -26,41 +17,12 @@
 #define HETEROMAP_GRAPH_STATS_CACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 
 #include "graph/props.hh"
-#include "util/telemetry.hh"
+#include "util/lru_memo.hh"
 
 namespace heteromap {
-
-/** Content fingerprint of a graph's CSR structure. */
-struct GraphFingerprint {
-    uint64_t numVertices = 0;
-    uint64_t numEdges = 0;
-    uint64_t footprintBytes = 0;
-    uint64_t offsetsHash = 0;
-    uint64_t neighborsHash = 0;
-
-    bool operator==(const GraphFingerprint &) const = default;
-};
-
-/** Elements sampled per CSR array when fingerprinting. */
-inline constexpr std::size_t kFingerprintSamples = 4096;
-
-/** Fingerprint @p graph (see the file comment for the scheme). */
-GraphFingerprint fingerprintGraph(const Graph &graph);
-
-/**
- * Mix a fingerprint's five fields into one 64-bit hash — the compact
- * graph identity stamped into flight-recorder audit records (the
- * serving batcher's key hash folds sweeps/seed on top, so it is not
- * reusable as a pure graph id).
- */
-uint64_t mixFingerprint(const GraphFingerprint &fingerprint);
 
 /** Bounded, thread-safe LRU memo cache for measureGraph results. */
 class GraphStatsCache
@@ -72,23 +34,21 @@ class GraphStatsCache
     /**
      * @param capacity       Entry bound (LRU evicts beyond it).
      * @param metrics_prefix When non-null, the hit/miss/eviction
-     *        counters are the shared telemetry-registry counters
-     *        "<prefix>.hits" / ".misses" / ".evictions", so a
-     *        /metrics-style snapshot and the accessors below read
-     *        the *same* atomics and always agree. When null (the
-     *        default, used by private test caches) the counters are
-     *        cache-owned and unregistered.
+     *        counters are the shared registry counters
+     *        "<prefix>.hits" / ".misses" / ".evictions"; when null
+     *        (the default, used by private test caches) they are
+     *        cache-owned and unregistered (util/lru_memo.hh).
      */
     explicit GraphStatsCache(std::size_t capacity = kDefaultCapacity,
                              const char *metrics_prefix = nullptr);
 
     /**
-     * Memoized measureGraph: fingerprint @p graph, return the cached
-     * stats on a hit, otherwise measure under @p options and cache
-     * the result. Safe to call concurrently; a miss measures outside
-     * the lock (two racing misses on one graph both measure — the
-     * results are identical by the determinism contract, and one
-     * insert wins).
+     * Memoized measureGraph: return the cached stats for @p graph's
+     * fingerprint on a hit, otherwise measure under @p options and
+     * cache the result. Safe to call concurrently; a miss measures
+     * outside the lock (two racing misses on one graph both measure
+     * — the results are identical by the determinism contract, and
+     * one insert wins).
      */
     GraphStats measure(const Graph &graph,
                        const MeasureOptions &options = {});
@@ -98,15 +58,15 @@ class GraphStatsCache
                                    const MeasureOptions &options = {}) const;
 
     /** Drop every entry (counters survive). */
-    void clear();
+    void clear() { memo_.clear(); }
 
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return memo_.capacity(); }
 
     /** @name Counters (monotonic over the cache lifetime). @{ */
-    uint64_t hits() const;
-    uint64_t misses() const;
-    uint64_t evictions() const;
-    std::size_t size() const;
+    uint64_t hits() const { return memo_.hits(); }
+    uint64_t misses() const { return memo_.misses(); }
+    uint64_t evictions() const { return memo_.evictions(); }
+    std::size_t size() const { return memo_.size(); }
     /** @} */
 
   private:
@@ -123,18 +83,7 @@ class GraphStatsCache
         std::size_t operator()(const Key &key) const;
     };
 
-    using LruList = std::list<std::pair<Key, GraphStats>>;
-
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    LruList lru_;  //!< front = most recent
-    std::unordered_map<Key, LruList::iterator, KeyHash> index_;
-
-    /** Backing store when no metrics prefix registers the counters. */
-    telemetry::Counter ownedHits_, ownedMisses_, ownedEvictions_;
-    telemetry::Counter *hits_;
-    telemetry::Counter *misses_;
-    telemetry::Counter *evictions_;
+    BoundedLruMemo<Key, GraphStats, KeyHash> memo_;
 
     static Key makeKey(const Graph &graph, const MeasureOptions &options);
 };

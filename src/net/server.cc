@@ -185,11 +185,8 @@ void
 NetServer::registerGraph(const std::string &name,
                          std::shared_ptr<const Graph> graph)
 {
-    CatalogEntry entry;
-    entry.routeKey = mixFingerprint(fingerprintGraph(*graph));
-    entry.graph = std::move(graph);
     std::lock_guard<std::mutex> lock(catalog_mutex_);
-    catalog_[name] = std::move(entry);
+    catalog_[name] = std::move(graph);
 }
 
 Result<Endpoint>
@@ -283,7 +280,7 @@ NetServer::stop()
 std::size_t
 NetServer::shardForGraph(const Graph &graph) const
 {
-    return router_.route(mixFingerprint(fingerprintGraph(graph)));
+    return router_.route(mixFingerprint(graph.fingerprint()));
 }
 
 serve::PredictionService &
@@ -408,6 +405,8 @@ NetServer::acceptReady()
             HM_COUNTER_INC("serve.net.connections_dropped");
             continue;
         }
+        if (options_.endpoint.family == Endpoint::Family::Tcp)
+            setTcpNoDelay(fd);
         Connection conn;
         conn.fd = OwnedFd(fd);
         conn.id = next_conn_id_++;
@@ -470,8 +469,7 @@ NetServer::parseFrames(Connection &conn)
             kHeaderBytes + header.value().payloadLen;
         if (buffered.size() < frame_bytes)
             break; // wait for the rest of the payload
-        HM_HISTOGRAM_RECORD_MS("serve.net.frame_bytes",
-                            static_cast<double>(frame_bytes));
+        HM_COUNTER_ADD("serve.net.frame_bytes_received", frame_bytes);
         frames_received_.fetch_add(1);
         const std::string_view payload =
             buffered.substr(kHeaderBytes, header.value().payloadLen);
@@ -557,7 +555,6 @@ NetServer::handlePredict(Connection &conn, const FrameHeader &header,
     }
 
     serve::ServeRequest request;
-    uint64_t route_key = 0;
     {
         std::lock_guard<std::mutex> lock(catalog_mutex_);
         auto graph_it = catalog_.find(std::string(wire.graph));
@@ -578,10 +575,9 @@ NetServer::handlePredict(Connection &conn, const FrameHeader &header,
                                      "unknown workload"));
             return;
         }
-        request.graph = graph_it->second.graph;
+        request.graph = graph_it->second;
         request.inputName = graph_it->first;
         request.workload = workload_it->second;
-        route_key = graph_it->second.routeKey;
     }
     request.supervised = supervised;
     request.deadlineMs = wire.deadlineMs;
@@ -590,7 +586,7 @@ NetServer::handlePredict(Connection &conn, const FrameHeader &header,
     if (wire.seed > 0)
         request.measure.seed = wire.seed;
 
-    const std::size_t shard = router_.route(route_key);
+    const std::size_t shard = shardForGraph(*request.graph);
     InFlight in_flight;
     in_flight.connId = conn.id;
     in_flight.requestId = header.requestId;

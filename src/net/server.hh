@@ -27,8 +27,8 @@
  * keyed by the graph's structural fingerprint, so a given graph
  * always lands on the shard whose GraphStatsCache and micro-batcher
  * already know it, and shard-count changes move only ~1/(N+1) of
- * the keys. Requests reference graphs by catalogue name; the server
- * fingerprints each graph once at registration.
+ * the keys. Requests reference graphs by catalogue name; routing
+ * reads the fingerprint each Graph computed when it was built.
  *
  * Multi-tenant admission (net/admission.hh) runs before any work:
  * per-client token buckets plus two priority lanes. Quota rejections
@@ -37,8 +37,9 @@
  * Telemetry: serve.net.accepted.* / .quota_rejected.* / .shed.*
  * lane counters (admission), serve.net.connections gauge,
  * serve.net.frames_received / .frames_sent / .bad_frames /
- * .slow_reader_disconnects counters, and the serve.net.frame_bytes
- * / serve.net.wire_ms histograms (frame sizes; receive-to-encoded
+ * .slow_reader_disconnects counters, the serve.net.frame_bytes_received
+ * counter (total bytes of complete received frames, headers
+ * included), and the serve.net.wire_ms histogram (receive-to-encoded
  * on-wire service latency).
  */
 
@@ -128,8 +129,8 @@ class NetServer
 
     /**
      * Register @p graph under @p name in the catalogue; requests
-     * reference it by name. Fingerprinted once here; re-registering
-     * a name replaces the entry. Safe while serving.
+     * reference it by name; re-registering a name replaces the
+     * entry. Safe while serving.
      */
     void registerGraph(const std::string &name,
                        std::shared_ptr<const Graph> graph);
@@ -190,11 +191,6 @@ class NetServer
         /** @} */
     };
 
-    struct CatalogEntry {
-        std::shared_ptr<const Graph> graph;
-        uint64_t routeKey = 0; //!< mixFingerprint of the structure
-    };
-
     /** One submitted request awaiting its shard's answer. */
     struct InFlight {
         uint64_t connId = 0;
@@ -225,7 +221,7 @@ class NetServer
     std::vector<std::thread> harvesters_;
 
     mutable std::mutex catalog_mutex_;
-    std::unordered_map<std::string, CatalogEntry> catalog_;
+    std::unordered_map<std::string, std::shared_ptr<const Graph>> catalog_;
     std::unordered_map<std::string, std::shared_ptr<const Workload>>
         workloads_;
 

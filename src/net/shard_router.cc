@@ -13,15 +13,6 @@
 namespace heteromap {
 namespace net {
 
-uint64_t
-mix64(uint64_t value)
-{
-    value += 0x9e3779b97f4a7c15ULL;
-    value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    value = (value ^ (value >> 27)) * 0x94d049bb133111ebULL;
-    return value ^ (value >> 31);
-}
-
 ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes)
     : shards_(shards), vnodes_(vnodes)
 {

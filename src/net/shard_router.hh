@@ -12,8 +12,8 @@
  * server, tests, an offline capacity planner — builds the identical
  * ring for a given (shards, vnodes) pair. Routing keys are the
  * mixFingerprint() of the graph's structural fingerprint
- * (graph/stats_cache.hh), re-mixed once more to decorrelate from the
- * ring-point hashes.
+ * (Graph::fingerprint(), graph/graph.hh), re-mixed once more to
+ * decorrelate from the ring-point hashes.
  */
 
 #ifndef HETEROMAP_NET_SHARD_ROUTER_HH
@@ -23,11 +23,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/checksum.hh"
+
 namespace heteromap {
 namespace net {
-
-/** SplitMix64 finalizer — the repo's standard cheap 64-bit mixer. */
-uint64_t mix64(uint64_t value);
 
 /** Deterministic consistent-hash ring over shard indices. */
 class ShardRouter

@@ -82,6 +82,14 @@ setNonBlocking(int fd)
            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+bool
+setTcpNoDelay(int fd)
+{
+    const int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                        sizeof(one)) == 0;
+}
+
 namespace {
 
 Result<OwnedFd>
@@ -190,13 +198,8 @@ connectTo(const Endpoint &endpoint)
         return makeError(ErrorCode::Unavailable, 0, "connect(",
                          endpoint.toString(),
                          ") failed: ", std::strerror(errno));
-    if (endpoint.family == Endpoint::Family::Tcp) {
-        // Request/response frames are small; Nagle would add a full
-        // RTT of batching delay to every response.
-        const int one = 1;
-        ::setsockopt(sock.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-    }
+    if (endpoint.family == Endpoint::Family::Tcp)
+        setTcpNoDelay(sock.get());
     return sock;
 }
 

@@ -96,6 +96,14 @@ Result<OwnedFd> connectTo(const Endpoint &endpoint);
 bool setNonBlocking(int fd);
 
 /**
+ * Set TCP_NODELAY on the TCP socket @p fd — both ends of a
+ * connection need it. Request/response frames are small; Nagle would
+ * hold each one back until the peer's delayed ACK.
+ * @return false on setsockopt failure (e.g. a unix socket).
+ */
+bool setTcpNoDelay(int fd);
+
+/**
  * Blocking send of the whole buffer (for the client side; the
  * server writes through its event loop instead). Short writes are
  * retried; an error or peer reset is recoverable.

@@ -11,25 +11,12 @@
 #include <utility>
 
 #include "model/feature_baseline.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
 namespace heteromap {
 namespace serve {
-
-namespace {
-
-/** splitmix64 finalizer, for the temp-file suffix. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 ModelRegistry::ModelRegistry(AcceleratorPair pair, const Oracle &oracle)
     : pair_(std::move(pair)), oracle_(oracle)

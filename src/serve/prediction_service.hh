@@ -7,9 +7,14 @@
  * admission control (serve/request_queue.hh). Workers micro-batch:
  * after popping a request they linger up to maxBatchDelayMs
  * collecting queued requests that share its graph fingerprint, so one
- * GraphStats measurement — and, per distinct (workload, input) in the
- * batch, one featurize and one inference — amortize across the whole
- * batch. Responses are stamped with the epoch of the ModelRegistry
+ * GraphStats measurement — and, per distinct (workload, input, edge
+ * weights) in the batch, one featurize and one inference — amortize
+ * across the whole batch. Featurize never re-runs the graph
+ * algorithm for a known (workload, graph): the executed
+ * WorkloadProfile comes from the service's ProfileCache
+ * (workloads/profile_cache.hh), and the case is assembled around it
+ * (core/oracle.hh assembleCase) — the same bytes makeCase would
+ * produce. Responses are stamped with the epoch of the ModelRegistry
  * snapshot that served them, so hot-swaps (background retrain, disk
  * load) are observable per response and can never tear a model out
  * from under an in-flight batch.
@@ -24,7 +29,9 @@
  * each constructed with the same metrics prefix so the shared
  * "serve.stats_cache.*" registry counters aggregate across shards —
  * private caches without a prefix would silently drop that
- * accounting (see graph/stats_cache.hh).
+ * accounting (see graph/stats_cache.hh). The one ProfileCache per
+ * service holds statsCapacityPerShard entries and registers its
+ * counters under "<statsMetricsPrefix>.profiles".
  *
  * Fault tolerance: workers are supervised by a watchdog thread. An
  * exception during measure/featurize/infer fails only that batch's
@@ -46,10 +53,13 @@
  * / .batches / .batched_requests / .supervised /
  * .supervised_degraded / .supervised_bypassed / .errors /
  * .fallback_served / .degradation_steps / .worker.batch_failures /
- * .worker.stalls / .worker.restarts; gauges serve.queue_depth,
- * serve.degradation_level; histograms serve.queue_wait_ms,
+ * .worker.stalls / .worker.restarts, serve.stats_cache.hits /
+ * .misses / .evictions and serve.stats_cache.profiles.hits /
+ * .misses / .evictions (both under statsMetricsPrefix); gauges
+ * serve.queue_depth, serve.degradation_level; histograms
+ * serve.queue_wait_ms (one sample per served request: its queueMs),
  * serve.batch.measure_ms, serve.batch.featurize_ms,
- * serve.request.service_ms.
+ * serve.batch.infer_ms, serve.request.service_ms.
  */
 
 #ifndef HETEROMAP_SERVE_PREDICTION_SERVICE_HH
@@ -71,6 +81,7 @@
 #include "serve/request_queue.hh"
 #include "serve/slo_tracker.hh"
 #include "util/thread_pool.hh"
+#include "workloads/profile_cache.hh"
 
 namespace heteromap {
 namespace serve {
@@ -130,7 +141,10 @@ struct ServiceOptions {
     /** GraphStatsCache shards (>= 1); keyed by graph fingerprint. */
     std::size_t statsShards = 2;
 
-    /** Entry bound per stats shard. */
+    /**
+     * Entry bound per stats shard; also the bound of the service's
+     * one ProfileCache.
+     */
     std::size_t statsCapacityPerShard = GraphStatsCache::kDefaultCapacity;
 
     /**
@@ -143,7 +157,8 @@ struct ServiceOptions {
      * service a distinct prefix ("serve.shard3.stats_cache") so
      * per-shard hit rates are real; aggregateStatusz() uses the
      * prefix to know which numbers are safe to sum. Empty = private
-     * detached counters (no registry mirror).
+     * detached counters (no registry mirror). The profile cache's
+     * counters register under "<prefix>.profiles".
      */
     std::string statsMetricsPrefix = "serve.stats_cache";
 
@@ -329,6 +344,10 @@ class PredictionService
     uint64_t statsHits() const;
     uint64_t statsMisses() const;
 
+    /** Profile-cache counters (mirror <prefix>.profiles.*). */
+    uint64_t profileHits() const { return profiles_.hits(); }
+    uint64_t profileMisses() const { return profiles_.misses(); }
+
     /** Drift scores (readable in telemetry-OFF builds too). */
     DriftScores driftScores() const { return drift_.scores(); }
 
@@ -383,6 +402,9 @@ class PredictionService
     std::condition_variable drain_cv_;
 
     std::vector<std::unique_ptr<GraphStatsCache>> stats_shards_;
+
+    /** Executed profiles per (workload, graph), for featurize. */
+    ProfileCache profiles_;
 
     /** @name Forensics: drift, SLOs, postmortem accounting. @{ */
     DriftMonitor drift_;

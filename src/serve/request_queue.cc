@@ -5,25 +5,12 @@
 
 #include "serve/request_queue.hh"
 
+#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
 namespace heteromap {
 namespace serve {
-
-namespace {
-
-/** splitmix64 finalizer (same mixing as the stats-cache hashes). */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::string
 ServeError::toString() const
@@ -36,19 +23,14 @@ makeBatchKey(const ServeRequest &request)
 {
     HM_ASSERT(request.graph != nullptr,
               "a serve request needs a graph");
-    return {fingerprintGraph(*request.graph), request.measure.sweeps,
+    return {request.graph->fingerprint(), request.measure.sweeps,
             request.measure.seed};
 }
 
 uint64_t
 hashBatchKey(const BatchKey &key)
 {
-    uint64_t h = mix64(key.fingerprint.numVertices);
-    h = mix64(h ^ key.fingerprint.numEdges);
-    h = mix64(h ^ key.fingerprint.footprintBytes);
-    h = mix64(h ^ key.fingerprint.offsetsHash);
-    h = mix64(h ^ key.fingerprint.neighborsHash);
-    h = mix64(h ^ key.sweeps);
+    const uint64_t h = mix64(mixFingerprint(key.fingerprint) ^ key.sweeps);
     return mix64(h ^ key.seed);
 }
 

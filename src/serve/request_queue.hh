@@ -164,7 +164,7 @@ struct BatchKey {
     bool operator==(const BatchKey &) const = default;
 };
 
-/** Key @p request for coalescing (fingerprints the graph). */
+/** Key @p request for coalescing (reads the graph's fingerprint). */
 BatchKey makeBatchKey(const ServeRequest &request);
 
 /** 64-bit mix of a BatchKey, for shard selection and hashing. */

@@ -7,7 +7,8 @@
  * instead of being parsed into a silently-wrong model. The
  * implementation is a standard 256-entry table computed at first use;
  * incremental updates let callers checksum streams without buffering
- * them twice.
+ * them twice. The file also holds mix64, the one 64-bit hash mixer
+ * every non-cryptographic key hash in the tree uses.
  */
 
 #ifndef HETEROMAP_UTIL_CHECKSUM_HH
@@ -51,6 +52,19 @@ class Crc64
     static constexpr uint64_t kXorOut = ~0ull;
     uint64_t state_ = kXorOut;
 };
+
+/**
+ * SplitMix64 finalizer: the repo's standard cheap 64-bit mixer (hash
+ * keys, fingerprints, shard routing, temp-file suffixes).
+ */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
 
 /** One-shot CRC64 of @p text. */
 uint64_t crc64(std::string_view text);

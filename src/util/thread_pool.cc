@@ -66,7 +66,10 @@ ThreadPool::submit(Task task)
     // predicate cannot miss the increment.
     {
         std::lock_guard<std::mutex> lock(idle_mutex_);
-        HM_GAUGE_SET("pool.queue_depth", double(queued_.fetch_add(1) + 1));
+        // Outside the macro: telemetry-OFF builds never evaluate its
+        // arguments, and workers wait on this count.
+        const std::size_t depth = queued_.fetch_add(1) + 1;
+        HM_GAUGE_SET("pool.queue_depth", double(depth));
     }
     idle_cv_.notify_one();
 }
@@ -82,8 +85,8 @@ ThreadPool::tryPop(std::size_t self, Task &task)
         if (!own.queue.empty()) {
             task = std::move(own.queue.front());
             own.queue.pop_front();
-            HM_GAUGE_SET("pool.queue_depth",
-                         double(queued_.fetch_sub(1) - 1));
+            const std::size_t depth = queued_.fetch_sub(1) - 1;
+            HM_GAUGE_SET("pool.queue_depth", double(depth));
             return true;
         }
     }
@@ -93,8 +96,8 @@ ThreadPool::tryPop(std::size_t self, Task &task)
         if (!victim.queue.empty()) {
             task = std::move(victim.queue.back());
             victim.queue.pop_back();
-            HM_GAUGE_SET("pool.queue_depth",
-                         double(queued_.fetch_sub(1) - 1));
+            const std::size_t depth = queued_.fetch_sub(1) - 1;
+            HM_GAUGE_SET("pool.queue_depth", double(depth));
             HM_COUNTER_INC("pool.steals");
             return true;
         }

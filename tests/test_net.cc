@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -307,11 +309,11 @@ TEST(NetRouter, SameFingerprintSameShard)
     // and therefore route alike — the warm-cache guarantee.
     const Graph g1 = generateMesh(512, 4, 1);
     const Graph g2 = generateMesh(512, 4, 1);
-    ASSERT_EQ(mixFingerprint(fingerprintGraph(g1)),
-              mixFingerprint(fingerprintGraph(g2)));
+    ASSERT_EQ(mixFingerprint(g1.fingerprint()),
+              mixFingerprint(g2.fingerprint()));
     ShardRouter router(8);
-    EXPECT_EQ(router.route(mixFingerprint(fingerprintGraph(g1))),
-              router.route(mixFingerprint(fingerprintGraph(g2))));
+    EXPECT_EQ(router.route(mixFingerprint(g1.fingerprint())),
+              router.route(mixFingerprint(g2.fingerprint())));
 }
 
 TEST(NetRouter, KeysSpreadAcrossShards)
@@ -771,6 +773,60 @@ TEST_F(NetLoopback, BadMagicClosesConnection)
     server_->stop();
 }
 
+/** TCP_NODELAY as set on @p fd, or -1 if it cannot be read. */
+int
+noDelayOf(int fd)
+{
+    int value = 0;
+    socklen_t len = sizeof(value);
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0)
+        return -1;
+    return value != 0 ? 1 : 0;
+}
+
+TEST_F(NetLoopback, AcceptedTcpSocketsDisableNagle)
+{
+    // Without TCP_NODELAY on the server's end, a response frame can
+    // sit behind the client's delayed ACK (the client end already
+    // set it). The server runs in this process, so its accepted
+    // socket is one of our fds: find it by its peer address.
+    const Endpoint endpoint = startServer(ServerOptions{});
+    auto connected = connectTo(endpoint);
+    ASSERT_TRUE(connected.ok());
+    OwnedFd client = std::move(connected).value();
+    EXPECT_EQ(noDelayOf(client.get()), 1);
+
+    // A ping round trip proves the server has accepted us.
+    std::string frame;
+    encodePing(1, frame);
+    ASSERT_TRUE(sendAll(client.get(), frame.data(), frame.size()).ok());
+    char header[kHeaderBytes];
+    ASSERT_TRUE(recvAll(client.get(), header, sizeof(header)).ok());
+
+    sockaddr_in local{};
+    socklen_t local_len = sizeof(local);
+    ASSERT_EQ(::getsockname(client.get(),
+                            reinterpret_cast<sockaddr *>(&local),
+                            &local_len),
+              0);
+    int accepted = -1;
+    for (int fd = 0; fd < 4096 && accepted < 0; ++fd) {
+        sockaddr_in peer{};
+        socklen_t peer_len = sizeof(peer);
+        if (fd != client.get() &&
+            ::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                          &peer_len) == 0 &&
+            peer.sin_family == AF_INET &&
+            peer.sin_port == local.sin_port &&
+            peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+            accepted = fd;
+        }
+    }
+    ASSERT_GE(accepted, 0) << "server end of the connection not found";
+    EXPECT_EQ(noDelayOf(accepted), 1);
+    server_->stop();
+}
+
 TEST_F(NetLoopback, SlowReaderDisconnectMidPipelineIsSafe)
 {
     // Regression: a send failure or backlog overflow inside
@@ -962,7 +1018,7 @@ TEST_F(NetLoopback, ShardForGraphMatchesRouter)
     EXPECT_LT(shard, 4u);
     EXPECT_EQ(shard,
               server_->router().route(
-                  mixFingerprint(fingerprintGraph(mesh))));
+                  mixFingerprint(mesh.fingerprint())));
     server_->stop();
 }
 

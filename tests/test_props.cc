@@ -381,7 +381,7 @@ TEST(PropsFingerprint, SameCountsDifferentStructureDiffer)
 
     ASSERT_EQ(path.numVertices(), star.numVertices());
     ASSERT_EQ(path.numEdges(), star.numEdges());
-    EXPECT_FALSE(fingerprintGraph(path) == fingerprintGraph(star));
+    EXPECT_FALSE(path.fingerprint() == star.fingerprint());
 }
 
 TEST(PropsFingerprint, SingleEdgeChangeChangesFingerprint)
@@ -408,14 +408,19 @@ TEST(PropsFingerprint, SingleEdgeChangeChangesFingerprint)
         return other.build();
     }();
     ASSERT_EQ(base.numEdges(), tweaked.numEdges());
-    EXPECT_FALSE(fingerprintGraph(base) == fingerprintGraph(tweaked));
+    EXPECT_FALSE(base.fingerprint() == tweaked.fingerprint());
 }
 
 TEST(PropsFingerprint, ContentBasedAcrossCopies)
 {
     Graph g = generateRmat(8, 6.0, 17);
-    Graph copy = g;
-    EXPECT_TRUE(fingerprintGraph(g) == fingerprintGraph(copy));
+    // A separately constructed Graph over the same arrays, not a
+    // member-wise copy of the stored fingerprint.
+    std::vector<float> weights;
+    for (EdgeId e = 0; e < g.numEdges(); ++e)
+        weights.push_back(g.edgeWeight(e));
+    const Graph rebuilt(g.offsets(), g.rawNeighbors(), weights);
+    EXPECT_TRUE(g.fingerprint() == rebuilt.fingerprint());
 }
 
 TEST(PropsStatsCache, HitMissAndValueCorrectness)

@@ -3,7 +3,9 @@
  * Tests for the serving subsystem: the bounded admission-controlled
  * RequestQueue, the hot-swappable ModelRegistry, and the batching
  * PredictionService (queue semantics, batching equivalence, shed
- * accounting, zero drops under backpressure, concurrent hot-swap).
+ * accounting, zero drops under backpressure, concurrent hot-swap),
+ * plus the workload-profile cache and the per-graph fingerprint the
+ * serving path keys on.
  * Every suite name contains "Serve" so `tools/check_tsan.sh -R Serve`
  * runs exactly this file under ThreadSanitizer.
  */
@@ -27,7 +29,9 @@
 #include "serve/request_queue.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
+#include "workloads/profile_cache.hh"
 #include "workloads/registry.hh"
+#include "workloads/synthetic.hh"
 
 namespace heteromap {
 namespace serve {
@@ -916,6 +920,409 @@ TEST_F(ServeServiceTest, WorkerExceptionFailsWholeBatchPromises)
     EXPECT_GE(errors, 1u);
     EXPECT_EQ(errors + oks, 4u);
     EXPECT_EQ(service.errorResponses(), errors);
+}
+
+TEST_F(ServeServiceTest, QueueWaitIsRecordedOncePerServedRequest)
+{
+    if (!telemetry::enabled())
+        GTEST_SKIP() << "telemetry compiled out";
+    const telemetry::Histogram &queue_wait =
+        telemetry::registry().histogram("serve.queue_wait_ms");
+    const uint64_t before = queue_wait.count();
+
+    ServiceOptions options;
+    options.workers = 2;
+    PredictionService service(registry_, options);
+    std::vector<std::future<ServeResponse>> futures;
+    for (int i = 0; i < 12; ++i) {
+        futures.push_back(service.submit(makeRequest(
+            (i % 3 == 0) ? bfs_ : pagerank_,
+            (i % 2 == 0) ? mesh_ : star_, "g")));
+    }
+    for (auto &future : futures)
+        EXPECT_EQ(future.get().status, ServeStatus::Ok);
+    service.close();
+
+    EXPECT_EQ(service.completed(), 12u);
+    EXPECT_EQ(queue_wait.count() - before, service.completed());
+}
+
+/* ------------------------------------------------------------------ */
+/* Workload-profile cache and per-graph fingerprints                  */
+/* ------------------------------------------------------------------ */
+
+/** Bitwise equality of two doubles (distinguishes -0.0, NaN bits). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool
+sameDoubles(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+                0);
+}
+
+bool
+sameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
+{
+    if (a.phases.size() != b.phases.size() || a.barriers != b.barriers ||
+        a.iterations != b.iterations) {
+        return false;
+    }
+    for (std::size_t i = 0; i < a.phases.size(); ++i) {
+        const PhaseProfile &x = a.phases[i];
+        const PhaseProfile &y = b.phases[i];
+        if (x.name != y.name || x.kind != y.kind ||
+            x.invocations != y.invocations ||
+            x.workItems != y.workItems ||
+            !sameBits(x.intOps, y.intOps) ||
+            !sameBits(x.fpOps, y.fpOps) ||
+            !sameBits(x.directAccesses, y.directAccesses) ||
+            !sameBits(x.indirectAccesses, y.indirectAccesses) ||
+            !sameBits(x.sharedReadBytes, y.sharedReadBytes) ||
+            !sameBits(x.sharedWriteBytes, y.sharedWriteBytes) ||
+            !sameBits(x.localBytes, y.localBytes) ||
+            !sameBits(x.atomics, y.atomics) ||
+            !sameBits(x.maxItemCost, y.maxItemCost) ||
+            !sameDoubles(x.bucketCost, y.bucketCost)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+sameStats(const GraphStats &a, const GraphStats &b)
+{
+    return a.numVertices == b.numVertices && a.numEdges == b.numEdges &&
+           a.maxDegree == b.maxDegree &&
+           sameBits(a.avgDegree, b.avgDegree) &&
+           a.diameter == b.diameter &&
+           sameBits(a.degreeStddev, b.degreeStddev) &&
+           a.footprintBytes == b.footprintBytes;
+}
+
+/** Every served field except the measured wall-clock overhead. */
+bool
+sameDeployment(const Deployment &a, const Deployment &b)
+{
+    return a.config == b.config &&
+           std::memcmp(a.predicted.m.data(), b.predicted.m.data(),
+                       sizeof(double) * a.predicted.m.size()) == 0 &&
+           sameBits(a.report.seconds, b.report.seconds) &&
+           sameBits(a.report.joules, b.report.joules) &&
+           sameBits(a.report.watts, b.report.watts) &&
+           sameBits(a.report.utilization, b.report.utilization) &&
+           a.report.memoryChunks == b.report.memoryChunks &&
+           sameBits(a.report.regionSeconds, b.report.regionSeconds) &&
+           sameBits(a.report.barrierSeconds, b.report.barrierSeconds) &&
+           a.report.toString() == b.report.toString();
+}
+
+TEST_F(ServeServiceTest, CachedCasesAndServedDeploymentsMatchUncached)
+{
+    // The service's profile counters are registry-shared across
+    // services with the default prefix: measure deltas.
+    const uint64_t hits_before =
+        telemetry::registry()
+            .counter("serve.stats_cache.profiles.hits")
+            .value();
+    const uint64_t misses_before =
+        telemetry::registry()
+            .counter("serve.stats_cache.profiles.misses")
+            .value();
+
+    ServiceOptions options;
+    options.workers = 2;
+    PredictionService service(registry_, options);
+    ProfileCache cache(64);
+    const HeteroMap &framework = *registry_.current()->framework;
+
+    std::size_t checked = 0;
+    for (auto &owned : allWorkloads()) {
+        const std::shared_ptr<const Workload> workload(std::move(owned));
+        for (const auto &graph : {mesh_, star_}) {
+            const GraphStats stats = measureGraph(*graph);
+            const BenchmarkCase uncached =
+                makeCase(*workload, *graph, "g", stats);
+            const Deployment expected = framework.deploy(uncached);
+
+            // Twice: the first call misses and executes, the second
+            // hits — both must give the uncached bytes.
+            for (int pass = 0; pass < 2; ++pass) {
+                const BenchmarkCase cached = assembleCase(
+                    *workload, "g", *cache.profile(workload, *graph),
+                    stats, stats);
+                EXPECT_EQ(cached.workloadName, uncached.workloadName);
+                EXPECT_EQ(cached.inputName, uncached.inputName);
+                EXPECT_EQ(cached.features, uncached.features);
+                EXPECT_TRUE(sameProfile(cached.profile, uncached.profile))
+                    << workload->name();
+                EXPECT_TRUE(sameStats(cached.shapeStats, uncached.shapeStats));
+                EXPECT_TRUE(sameStats(cached.scaleStats, uncached.scaleStats));
+
+                const ServeResponse served =
+                    service.submit(makeRequest(workload, graph, "g")).get();
+                ASSERT_EQ(served.status, ServeStatus::Ok);
+                EXPECT_TRUE(sameDeployment(served.deployment, expected))
+                    << workload->name() << " pass " << pass;
+                ++checked;
+            }
+        }
+    }
+    service.close();
+    EXPECT_EQ(checked, 2 * 2 * allWorkloads().size());
+    // The service executed each (workload, graph) once and then hit.
+    EXPECT_EQ(service.profileMisses() - misses_before, checked / 2);
+    EXPECT_EQ(service.profileHits() - hits_before, checked / 2);
+}
+
+TEST_F(ServeServiceTest, CollidingWorkloadNamesNeverShareAProfile)
+{
+    // SyntheticWorkload::name() keeps only the low 16 seed bits, so
+    // these two differ in behaviour but not in name.
+    BVariables b;
+    b.b1 = 1.0; // all vertex division
+    b.b6 = 0.5; // seeded coin flips: FP vs integer work,
+    b.b8 = 0.5; // indirect vs direct access,
+    b.b12 = 0.5; // and atomic updates
+    b.b9 = b.b10 = b.b11 = 0.3;
+    const std::shared_ptr<const Workload> low =
+        std::make_shared<SyntheticWorkload>(b, 0x1);
+    const std::shared_ptr<const Workload> high =
+        std::make_shared<SyntheticWorkload>(b, 0x10001);
+    ASSERT_EQ(low->name(), high->name());
+    const WorkloadProfile low_profile = low->runProfiled(*mesh_).second;
+    const WorkloadProfile high_profile = high->runProfiled(*mesh_).second;
+    ASSERT_FALSE(sameProfile(low_profile, high_profile))
+        << "seeds chosen to execute differently";
+
+    ProfileCache cache(8);
+    EXPECT_TRUE(sameProfile(*cache.profile(low, *mesh_), low_profile));
+    EXPECT_TRUE(sameProfile(*cache.profile(high, *mesh_), high_profile));
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+
+    // Served in one batch, each still gets its own deployment.
+    const HeteroMap &framework = *registry_.current()->framework;
+    const GraphStats stats = measureGraph(*mesh_);
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatch = 8;
+    options.maxBatchDelayMs = 50.0;
+    options.statsMetricsPrefix.clear(); // service-owned counters
+    PredictionService service(registry_, options);
+    auto low_future = service.submit(makeRequest(low, mesh_, "g"));
+    auto high_future = service.submit(makeRequest(high, mesh_, "g"));
+    const ServeResponse low_served = low_future.get();
+    const ServeResponse high_served = high_future.get();
+    service.close();
+    EXPECT_EQ(high_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_TRUE(sameDeployment(
+        low_served.deployment,
+        framework.deploy(makeCase(*low, *mesh_, "g", stats))));
+    EXPECT_TRUE(sameDeployment(
+        high_served.deployment,
+        framework.deploy(makeCase(*high, *mesh_, "g", stats))));
+    EXPECT_EQ(service.profileMisses(), 2u);
+}
+
+TEST_F(ServeServiceTest, WeightTwinsNeverShareAProfile)
+{
+    // Same CSR arrays, different weights: one fingerprint (one shard,
+    // one stats entry), but SSSP-Delta picks its bucket width from
+    // the weights, so the two graphs execute differently.
+    const auto road = sharedGraph(generateRoadGrid(24, 24, 5));
+    ASSERT_TRUE(road->hasWeights());
+    const auto twin = sharedGraph(
+        Graph(road->offsets(), road->rawNeighbors(),
+              std::vector<float>(road->numEdges(), 1.0f)));
+    ASSERT_EQ(twin->fingerprint(), road->fingerprint());
+    EXPECT_NE(twin->weightsHash(), road->weightsHash());
+
+    const auto delta = sharedWorkload("SSSP-Delta");
+    const HeteroMap &framework = *registry_.current()->framework;
+    const GraphStats stats = measureGraph(*road);
+    const Deployment road_expected =
+        framework.deploy(makeCase(*delta, *road, "g", stats));
+    const Deployment twin_expected =
+        framework.deploy(makeCase(*delta, *twin, "g", stats));
+    ASSERT_FALSE(sameDeployment(road_expected, twin_expected))
+        << "weights chosen to deploy differently";
+
+    ProfileCache cache(8);
+    cache.profile(delta, *road);
+    cache.profile(delta, *twin);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatch = 8;
+    options.maxBatchDelayMs = 50.0;
+    options.statsMetricsPrefix.clear(); // service-owned counters
+    PredictionService service(registry_, options);
+    // One at a time: the second lookup must not hit the first's entry.
+    EXPECT_TRUE(sameDeployment(
+        service.submit(makeRequest(delta, road, "g")).get().deployment,
+        road_expected));
+    EXPECT_TRUE(sameDeployment(
+        service.submit(makeRequest(delta, twin, "g")).get().deployment,
+        twin_expected));
+    // Together: one batch (same fingerprint), two featurize groups.
+    auto road_future = service.submit(makeRequest(delta, road, "g"));
+    auto twin_future = service.submit(makeRequest(delta, twin, "g"));
+    const ServeResponse road_served = road_future.get();
+    const ServeResponse twin_served = twin_future.get();
+    service.close();
+    EXPECT_EQ(twin_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_TRUE(sameDeployment(road_served.deployment, road_expected));
+    EXPECT_TRUE(sameDeployment(twin_served.deployment, twin_expected));
+    EXPECT_EQ(service.profileMisses(), 2u);
+    EXPECT_EQ(service.profileHits(), 2u);
+}
+
+TEST(ServeProfileCache, BoundsEntriesAndEvictsLeastRecent)
+{
+    const auto pagerank = sharedWorkload("PR");
+    const auto bfs = sharedWorkload("BFS");
+    const Graph mesh = generateMesh(128, 4, 1);
+    const Graph star = generateStar(64);
+
+    ProfileCache cache(2);
+    EXPECT_EQ(cache.capacity(), 2u);
+    const auto first = cache.profile(pagerank, mesh); // miss
+    EXPECT_EQ(cache.profile(pagerank, mesh), first);  // hit, same entry
+    cache.profile(bfs, mesh);                         // miss
+    cache.profile(pagerank, star);                    // miss, evicts
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.evictions(), 1u);
+
+    // (PR, mesh) was least recent, so it went; (BFS, mesh) stayed.
+    cache.profile(bfs, mesh);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_NE(cache.profile(pagerank, mesh), first);
+    EXPECT_EQ(cache.misses(), 4u);
+    EXPECT_EQ(cache.evictions(), 2u);
+
+    // Content-keyed on the graph: a rebuilt copy of the mesh hits.
+    std::vector<float> weights;
+    for (EdgeId e = 0; mesh.hasWeights() && e < mesh.numEdges(); ++e)
+        weights.push_back(mesh.edgeWeight(e));
+    const Graph rebuilt(mesh.offsets(), mesh.rawNeighbors(), weights);
+    cache.profile(pagerank, rebuilt);
+    EXPECT_EQ(cache.hits(), 3u);
+
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits(), 3u); // counters survive clear()
+}
+
+TEST(ServeProfileCache, EntriesPinTheirWorkload)
+{
+    ProfileCache cache(4);
+    const Graph mesh = generateMesh(128, 4, 1);
+    std::weak_ptr<const Workload> watch;
+    {
+        const auto workload = sharedWorkload("PR");
+        watch = workload;
+        cache.profile(workload, mesh);
+    }
+    // The entry still holds the workload, so its address cannot be
+    // reused by another workload while the entry lives.
+    EXPECT_FALSE(watch.expired());
+    cache.clear();
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(ServeProfileCache, RacingMissesConverge)
+{
+    const auto workload = sharedWorkload("SSSP-BF");
+    const Graph graph = generateRoadGrid(24, 24, 5);
+    const WorkloadProfile expected = workload->runProfiled(graph).second;
+
+    ProfileCache cache(4);
+    constexpr int kThreads = 8;
+    std::atomic<int> ready{0};
+    std::vector<std::shared_ptr<const WorkloadProfile>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            got[t] = cache.profile(workload, graph);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (const auto &profile : got)
+        EXPECT_TRUE(sameProfile(*profile, expected));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.hits() + cache.misses(), uint64_t{kThreads});
+    EXPECT_GE(cache.misses(), 1u);
+    // Every later lookup returns the one entry that won the insert.
+    const auto winner = cache.profile(workload, graph);
+    for (int t = 0; t < kThreads; ++t) {
+        if (got[t] != winner) {
+            EXPECT_TRUE(sameProfile(*got[t], *winner));
+        }
+    }
+}
+
+TEST(ServeGraphFingerprint, PinnedToThePreviousScheme)
+{
+    // Values produced by the free-function fingerprint this member
+    // replaced. Shard routing and audit records hash these, so any
+    // change here silently re-routes graphs.
+    struct Pin {
+        const char *name;
+        Graph graph;
+        GraphFingerprint fingerprint;
+        uint64_t mixed;
+    };
+    const Pin pins[] = {
+        {"empty", Graph(),
+         {0ull, 0ull, 0ull, 0xa07992a21150f55bull, 0x4a4bc951b434a173ull},
+         0x9087d805a720a551ull},
+        {"mesh", generateMesh(256, 4, 1),
+         {256ull, 1008ull, 10120ull, 0x133dfcac3fae3c44ull,
+          0x7740af4026b3b071ull},
+         0x82c4feb73888e170ull},
+        {"star", generateStar(128),
+         {128ull, 254ull, 3064ull, 0x006d53d8c1c1c44full,
+          0x95fd9fc6feed15b9ull},
+         0x02e1091d0373164aull},
+        // Above kFingerprintSamples: exercises the strided path.
+        {"rmat", generateRmat(14, 8.0, 7),
+         {16384ull, 228382ull, 1958136ull, 0xcf27f75aa057e26dull,
+          0xabac147224ebbfecull},
+         0x1766a3f7221a6ff6ull},
+        // Weighted: the weights count through the footprint.
+        {"road", generateRoadGrid(96, 96, 3),
+         {9216ull, 36846ull, 368504ull, 0x15630c3c0019bb39ull,
+          0x3121a7b7592c14d5ull},
+         0x03f660137646cc32ull},
+    };
+    for (const Pin &pin : pins) {
+        EXPECT_TRUE(pin.graph.fingerprint() == pin.fingerprint)
+            << pin.name;
+        EXPECT_EQ(mixFingerprint(pin.graph.fingerprint()), pin.mixed)
+            << pin.name;
+        // The batch key and the stats-cache key read the same value.
+        ServeRequest request;
+        request.graph = std::make_shared<const Graph>(pin.graph);
+        EXPECT_TRUE(makeBatchKey(request).fingerprint == pin.fingerprint)
+            << pin.name;
+    }
 }
 
 } // namespace
