@@ -281,7 +281,9 @@ TrainingPipeline::run(const std::vector<TrainingGraph> &graphs)
                                     ? ThreadPool::defaultThreadCount()
                                     : options_.threads;
     if (threads > 1 && num_cases > 1) {
-        ThreadPool pool(std::min(threads, num_cases));
+        // parallelFor runs cases on the calling thread too, so
+        // threads - 1 workers keep the total at threads.
+        ThreadPool pool(std::min(threads, num_cases) - 1);
         pool.parallelFor(num_cases, run_case);
     } else {
         for (std::size_t i = 0; i < num_cases; ++i)

@@ -25,8 +25,10 @@ wordCount(std::size_t n)
 
 /**
  * Atomically claim bit @p v; @return true for the winning claimer.
- * Relaxed order suffices: the pool's wait() barrier orders levels,
- * and within a level a claim only guards first-discovery.
+ * Relaxed order suffices: levels are ordered by each level's
+ * ThreadPool::parallelFor completion (release per finished chunk,
+ * acquire by the caller), and within a level a claim only guards
+ * first-discovery.
  */
 bool
 claimBit(std::vector<uint64_t> &bits, VertexId v)

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 
 #include "graph/frontier.hh"
@@ -73,18 +72,6 @@ hasSymmetricAdjacency(const Graph &graph, ThreadPool *pool)
 }
 
 namespace {
-
-/**
- * Serializes parallel sections that borrow the process-wide shared
- * pool: ThreadPool::parallelFor's completion barrier is pool-global,
- * so two concurrent measurements must not interleave on one pool.
- */
-std::mutex &
-sharedPoolMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
 
 uint64_t
 diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
@@ -270,10 +257,10 @@ measureGraph(const Graph &graph, const MeasureOptions &options)
         ThreadPool &shared = ThreadPool::shared();
         if (shared.threadCount() <= 1)
             return measureWith(graph, options, nullptr);
-        std::lock_guard<std::mutex> lock(sharedPoolMutex());
         return measureWith(graph, options, &shared);
     }
-    ThreadPool pool(options.threads);
+    // The caller runs chunks too, so N threads is N - 1 pool workers.
+    ThreadPool pool(options.threads - 1);
     return measureWith(graph, options, &pool);
 }
 
@@ -292,7 +279,6 @@ approximateDiameter(const Graph &graph, unsigned sweeps, uint64_t seed)
     ThreadPool &shared = ThreadPool::shared();
     if (shared.threadCount() <= 1)
         return diameterSweeps(graph, sweeps, seed, nullptr);
-    std::lock_guard<std::mutex> lock(sharedPoolMutex());
     return diameterSweeps(graph, sweeps, seed, &shared);
 }
 

@@ -52,9 +52,12 @@ struct MeasureOptions {
     uint64_t seed = 1;
 
     /**
-     * Sweep fan-out: 0 uses the process-wide shared pool
-     * (ThreadPool::shared()), 1 runs serial inline, N spins up a
-     * private N-thread pool. The result is byte-identical for every
+     * Sweep fan-out: 0 borrows the process-wide shared pool
+     * (ThreadPool::shared()), 1 runs serial inline, N runs on the
+     * calling thread plus a private (N - 1)-worker pool. Concurrent
+     * measurements may all use 0: each sweep waits on its own
+     * parallelFor completion, so they share the pool's workers
+     * without serializing. The result is byte-identical for every
      * value — threads only change wall-clock time.
      */
     std::size_t threads = 0;

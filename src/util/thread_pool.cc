@@ -5,6 +5,8 @@
 
 #include "util/thread_pool.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 #include "util/timer.hh"
@@ -168,9 +170,57 @@ void
 ThreadPool::parallelFor(std::size_t count,
                         const std::function<void(std::size_t)> &body)
 {
-    for (std::size_t i = 0; i < count; ++i)
-        submit([&body, i] { body(i); });
-    wait();
+    if (count == 0)
+        return;
+    // Per-call completion state. Helpers hold it by shared_ptr: one
+    // dequeued after this call returned finds no index left and
+    // touches nothing else (in particular, never @p body).
+    struct Call {
+        std::atomic<std::size_t> next{0}; //!< next unclaimed index
+        std::atomic<std::size_t> done{0}; //!< indices finished
+        std::mutex mutex;                 //!< guards error; cv rendezvous
+        std::condition_variable cv;
+        std::exception_ptr error;         //!< this call's first throw
+    };
+    auto call = std::make_shared<Call>();
+    const auto *fn = &body;
+    auto drain = [call, fn, count] {
+        for (;;) {
+            const std::size_t i =
+                call->next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            try {
+                (*fn)(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(call->mutex);
+                if (call->error == nullptr)
+                    call->error = std::current_exception();
+            }
+            // Release pairs with the caller's acquire below, so every
+            // write body(i) made is visible once the caller returns.
+            // Notifying under the mutex cannot slip between the
+            // caller's predicate check and its wait.
+            if (call->done.fetch_add(1, std::memory_order_release) + 1 ==
+                count) {
+                std::lock_guard<std::mutex> lock(call->mutex);
+                call->cv.notify_all();
+            }
+        }
+    };
+
+    const std::size_t helpers = std::min(count - 1, threadCount());
+    for (std::size_t h = 0; h < helpers; ++h)
+        submit(drain);
+    drain();
+    if (call->done.load(std::memory_order_acquire) != count) {
+        std::unique_lock<std::mutex> lock(call->mutex);
+        call->cv.wait(lock, [&call, count] {
+            return call->done.load(std::memory_order_acquire) == count;
+        });
+    }
+    if (call->error != nullptr)
+        std::rethrow_exception(call->error);
 }
 
 } // namespace heteromap

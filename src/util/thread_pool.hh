@@ -4,9 +4,10 @@
  * its own tasks from the front and steals from the back of a sibling
  * when it runs dry, so coarse, unevenly sized tasks (e.g. the offline
  * training sweep's tuning cases) balance without a central queue
- * becoming a point of contention. Exceptions thrown by tasks are
- * captured and rethrown from wait(); destruction drains every queued
- * task before joining.
+ * becoming a point of contention. Exceptions thrown by submit()ted
+ * tasks are captured and rethrown from wait(); parallelFor() keeps
+ * its own per-call completion and exception instead. Destruction
+ * drains every queued task before joining.
  *
  * The pool reports itself through the telemetry registry
  * (util/telemetry.hh): "pool.tasks" and "pool.steals" counters, a
@@ -59,9 +60,16 @@ class ThreadPool
     void wait();
 
     /**
-     * Run body(0) .. body(count - 1) across the pool and wait().
-     * Iterations must not depend on each other; any iteration's
-     * exception propagates out of this call.
+     * Run body(0) .. body(count - 1) and return once all of them
+     * have finished. The calling thread claims indices alongside at
+     * most min(count - 1, threadCount()) helper tasks, so a pool
+     * worker may call this on its own pool, and total parallelism is
+     * threadCount() + 1. Completion and errors are per call: the
+     * caller waits only for its own @p count indices (every write a
+     * body made is visible on return) and rethrows only its own
+     * first exception, so any number of threads may run parallelFor
+     * on one pool at once. Iterations must not depend on each other.
+     * Unlike wait(), this never reports submit() tasks' exceptions.
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &body);
@@ -74,10 +82,7 @@ class ThreadPool
      * created on first use. Intended for short, coarse parallel
      * sections on hot paths — e.g. online graph measurement — where
      * spinning up a private pool per call would dominate the work.
-     * parallelFor()'s completion barrier is pool-global, so callers
-     * that use it on the shared pool must serialize their sections
-     * against each other (graph measurement does, see
-     * sharedPoolMutex in graph/props.cc).
+     * Concurrent parallelFor() sections share its workers freely.
      */
     static ThreadPool &shared();
 

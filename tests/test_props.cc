@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.hh"
 #include "graph/frontier.hh"
@@ -95,6 +98,42 @@ TEST(PropsMeasureDeterminism, SharedPoolMatchesSerial)
     MeasureOptions shared; // threads = 0: shared pool
     EXPECT_TRUE(statsBitEqual(measureGraph(g, serial),
                               measureGraph(g, shared)));
+}
+
+TEST(PropsMeasureDeterminism, ConcurrentSharedPoolMatchesSerial)
+{
+    // Eight measurements share the pool at once (threads = 0), mixing
+    // a graph whose sweeps stay serial (below kParallelGrain) with
+    // one whose sweeps fan out: each must equal its serial result.
+    const Graph graphs[] = {
+        generateMesh(1024, 4, 11),
+        generateRmat(14, 8.0, 13),
+    };
+    ASSERT_LT(graphs[0].numVertices(), kParallelGrain);
+    ASSERT_GE(graphs[1].numVertices(), kParallelGrain);
+    MeasureOptions serial;
+    serial.threads = 1;
+    const GraphStats expected[] = {measureGraph(graphs[0], serial),
+                                   measureGraph(graphs[1], serial)};
+
+    constexpr std::size_t kThreads = 8;
+    std::vector<GraphStats> results(2 * kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (std::size_t k = 0; k < 2; ++k)
+                results[2 * t + k] =
+                    measureGraph(graphs[(t + k) % 2], MeasureOptions{});
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (std::size_t k = 0; k < 2; ++k)
+            EXPECT_TRUE(statsBitEqual(results[2 * t + k],
+                                      expected[(t + k) % 2]))
+                << "thread " << t << " measurement " << k;
 }
 
 TEST(PropsMeasureDeterminism, MatchesLegacyOverload)

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -53,6 +54,58 @@ TEST(ThreadPoolTest, ExceptionsPropagateAndThePoolStaysUsable)
     pool.submit([&ran] { ++ran; });
     EXPECT_NO_THROW(pool.wait());
     EXPECT_EQ(ran.load(), 9);
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForIsolatesExceptions)
+{
+    // Two callers share one pool every round and only one body
+    // throws: completion and the exception slot are per call, so the
+    // thrower always gets its exception and the other caller never
+    // does (and sees every one of its own writes on return).
+    constexpr int kRounds = 50;
+    constexpr std::size_t kCount = 64;
+    ThreadPool pool(4);
+    int thrower_caught = 0;
+    int clean_caught = 0;
+    int clean_incomplete = 0;
+    const auto work = [](std::size_t i) {
+        if (i % 8 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+    };
+    for (int round = 0; round < kRounds; ++round) {
+        std::latch start(2);
+        std::thread thrower([&] {
+            start.arrive_and_wait();
+            try {
+                pool.parallelFor(kCount, [&](std::size_t i) {
+                    work(i);
+                    if (i == kCount / 2)
+                        throw std::runtime_error("body boom");
+                });
+            } catch (const std::runtime_error &) {
+                ++thrower_caught;
+            }
+        });
+        std::thread clean([&] {
+            std::vector<int> hits(kCount, 0);
+            start.arrive_and_wait();
+            try {
+                pool.parallelFor(kCount, [&](std::size_t i) {
+                    work(i);
+                    ++hits[i];
+                });
+            } catch (...) {
+                ++clean_caught;
+            }
+            for (int h : hits)
+                clean_incomplete += h != 1;
+        });
+        thrower.join();
+        clean.join();
+    }
+    EXPECT_EQ(thrower_caught, kRounds);
+    EXPECT_EQ(clean_caught, 0);
+    EXPECT_EQ(clean_incomplete, 0);
 }
 
 TEST(ThreadPoolTest, DestructionDrainsQueuedTasks)

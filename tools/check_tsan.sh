@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Race-check the parallel subsystems under ThreadSanitizer: the
-# offline training sweep (util/thread_pool fan-out), the graph
+# work-stealing pool and its per-call parallelFor completion
+# (util/thread_pool), the offline training sweep, the graph
 # measurement substrate (flat-frontier BFS + stats cache), the
 # telemetry layer (lock-free metrics + trace ring buffers), and the
 # serving subsystem (MPMC queue, batching workers, RCU model
@@ -25,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Training|Props|Telemetry|Serve|Chaos|Forensics|BatchInference|Net"
+REGEX="ThreadPool|Training|Props|Telemetry|Serve|Chaos|Forensics|BatchInference|Net"
 while getopts "R:" opt; do
     case "$opt" in
       R) REGEX="$OPTARG" ;;
