@@ -1,11 +1,14 @@
 /**
  * @file
  * Graph-measurement substrate benchmark: serial vs parallel
- * measureGraph, cold vs cached (memoized) repeat measurement, and
+ * measureGraph, the serial cold cost split into the symmetry check
+ * and the sweeps, cold vs cached (memoized) repeat measurement, and
  * the end-to-end online predictor overhead with and without a warm
- * stats cache. Companion to bench_predictor_overhead: that one times
- * inference alone; this one times the property-collection side that
- * used to dominate the online path for large inputs.
+ * stats cache. The 1,024-vertex mesh/PA/road inputs are the size of
+ * the graphs a serving stats-cache miss measures. Companion to
+ * bench_predictor_overhead: that one times inference alone; this one
+ * times the property-collection side that used to dominate the
+ * online path for large inputs.
  *
  * Run: ./bench_graph_measurement
  */
@@ -17,6 +20,7 @@
 
 #include "core/heteromap.hh"
 #include "graph/compressed_csr.hh"
+#include "graph/frontier.hh"
 #include "graph/generators.hh"
 #include "graph/stats_cache.hh"
 #include "util/logging.hh"
@@ -65,24 +69,44 @@ main(int argc, char **argv)
         {"uniform-200k", generateUniformRandom(200000, 1600000, 33)},
         {"road-512x256 (high dia)", generateRoadGrid(512, 256, 35)},
         {"dense-er-1k", generateDenseEr(1000, 0.5, 37)},
+        {"mesh-1k", generateMesh(1024, 4, 100)},
+        {"pa-1k", generatePreferentialAttachment(1024, 4, 101)},
+        {"road-32x32", generateRoadGrid(32, 32, 102)},
     };
 
     std::cout << "graph measurement substrate ("
               << ThreadPool::defaultThreadCount()
               << " hardware threads)\n\n";
 
-    TextTable table({"input", "#V", "#E", "serial ms", "parallel ms",
-                     "speedup", "cached ms", "cold/cached"});
+    TextTable table({"input", "#V", "#E", "serial ms", "sym ms",
+                     "sweeps ms", "parallel ms", "speedup", "cached ms",
+                     "cold/cached"});
     double worst_ratio = -1.0;
     for (const Input &input : inputs) {
         MeasureOptions serial;
         serial.threads = 1;
         MeasureOptions parallel; // threads = 0: shared pool
+        // Sub-millisecond inputs need more reps for a stable median.
+        const int reps = input.graph.numEdges() < 100000 ? 101 : 5;
 
         const double serial_ms =
-            timeMs(3, [&] { measureGraph(input.graph, serial); });
+            timeMs(reps, [&] { measureGraph(input.graph, serial); });
         const double parallel_ms =
-            timeMs(3, [&] { measureGraph(input.graph, parallel); });
+            timeMs(reps, [&] { measureGraph(input.graph, parallel); });
+
+        // Serial cold split: the symmetry check runs only when the
+        // traversal plan allows bottom-up levels; the rest is the
+        // degree sweep plus the BFS double sweeps.
+        const GraphStats shape = measureGraph(input.graph, 0, 1);
+        const bool checks_symmetry =
+            planTraversal(shape.numVertices, shape.numEdges,
+                          shape.avgDegree, shape.degreeStddev)
+                .useBottomUp;
+        const double sym_ms =
+            checks_symmetry
+                ? timeMs(reps,
+                         [&] { hasSymmetricAdjacency(input.graph); })
+                : 0.0;
 
         // Cold vs cached through a private cache (the global one may
         // already know these graphs).
@@ -101,6 +125,8 @@ main(int argc, char **argv)
             formatCount(stats.numVertices),
             formatCount(stats.numEdges),
             formatNumber(serial_ms, 3),
+            checks_symmetry ? formatNumber(sym_ms, 4) : "skipped",
+            formatNumber(std::max(serial_ms - sym_ms, 0.0), 4),
             formatNumber(parallel_ms, 3),
             formatNumber(serial_ms / std::max(parallel_ms, 1e-9), 2),
             formatNumber(cached_ms, 5),

@@ -25,6 +25,11 @@ wordCount(std::size_t n)
 
 /**
  * Atomically claim bit @p v; @return true for the winning claimer.
+ * Only pooled top-down levels need this; serial levels set bits with
+ * a plain test-and-set. A relaxed load tests the bit first, so arcs
+ * into already-visited vertices skip the locked read-modify-write; a
+ * bit is never cleared during a level, so a set bit seen by the load
+ * means the claim is lost.
  * Relaxed order suffices: levels are ordered by each level's
  * ThreadPool::parallelFor completion (release per finished chunk,
  * acquire by the caller), and within a level a claim only guards
@@ -35,6 +40,8 @@ claimBit(std::vector<uint64_t> &bits, VertexId v)
 {
     std::atomic_ref<uint64_t> word(bits[v >> 6]);
     const uint64_t mask = uint64_t{1} << (v & 63);
+    if ((word.load(std::memory_order_relaxed) & mask) != 0)
+        return false;
     return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
 }
 
@@ -86,8 +93,11 @@ forEachChunk(std::size_t count, ThreadPool *pool,
 namespace {
 
 /**
- * One top-down level: expand scratch.frontier into scratch.next via
- * per-chunk discovery buffers concatenated in chunk order.
+ * One top-down level: expand scratch.frontier into scratch.next.
+ * Serial levels (no @p pool) append straight to scratch.next with a
+ * plain bit test-and-set; pooled levels fill per-chunk discovery
+ * buffers with claimBit and concatenate them in chunk order. Both
+ * yield the same next frontier, in frontier-then-neighbor order.
  * @return sum of out-degrees of the next frontier (the bottom-up
  * switch signal; an integer sum, so reduction order is moot).
  */
@@ -95,6 +105,25 @@ uint64_t
 topDownStep(const Graph &graph, FrontierScratch &scratch,
             uint32_t *hops, uint32_t next_level, ThreadPool *pool)
 {
+    scratch.next.clear();
+    uint64_t next_edges = 0;
+    if (pool == nullptr) {
+        uint64_t *const visited = scratch.visited.data();
+        for (VertexId v : scratch.frontier) {
+            for (VertexId u : graph.neighbors(v)) {
+                const uint64_t mask = uint64_t{1} << (u & 63);
+                if ((visited[u >> 6] & mask) != 0)
+                    continue;
+                visited[u >> 6] |= mask;
+                if (hops != nullptr)
+                    hops[u] = next_level;
+                scratch.next.push_back(u);
+                next_edges += graph.degree(u);
+            }
+        }
+        return next_edges;
+    }
+
     const std::size_t chunks =
         (scratch.frontier.size() + kFrontierChunk - 1) / kFrontierChunk;
     if (scratch.chunkOut.size() < chunks)
@@ -116,8 +145,6 @@ topDownStep(const Graph &graph, FrontierScratch &scratch,
                      }
                  });
 
-    scratch.next.clear();
-    uint64_t next_edges = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
         for (VertexId u : scratch.chunkOut[c]) {
             scratch.next.push_back(u);
@@ -331,7 +358,7 @@ planTraversal(uint64_t num_vertices, uint64_t num_edges,
     // Road-network-like graphs (near-uniform low degree, long
     // diameter): frontiers never get wide enough for a bottom-up
     // level to beat top-down, so rule it out before anyone pays the
-    // O(E log d) symmetry precheck it would require.
+    // O(V + E) symmetry precheck it would require.
     if (avg_degree < 2.0) {
         plan.useBottomUp = false;
         return plan;

@@ -14,6 +14,13 @@
  * reduction order cannot; hop levels themselves are unique per vertex
  * in a level-synchronous BFS, and the "farthest" vertex is defined as
  * the minimum-id member of the deepest level — an order-free min.
+ *
+ * Visited-bit updates: a level that runs serially (no pool, or less
+ * than kParallelGrain work) sets bits with a plain test-and-set. Only
+ * pooled top-down levels claim bits atomically, and they test the bit
+ * with a relaxed load before the fetch_or, so arcs into visited
+ * vertices skip the locked read-modify-write. Bottom-up chunks own
+ * whole bitmap words and need neither.
  */
 
 #ifndef HETEROMAP_GRAPH_FRONTIER_HH
@@ -71,7 +78,7 @@ struct FrontierScratch {
     std::vector<uint64_t> nextBits; //!< next frontier (bottom-up)
     std::vector<VertexId> frontier; //!< current frontier, flat array
     std::vector<VertexId> next;     //!< next frontier, flat array
-    /** Per-chunk discovery buffers for top-down steps. */
+    /** Per-chunk discovery buffers for pooled top-down steps. */
     std::vector<std::vector<VertexId>> chunkOut;
 
     /** Size buffers for @p num_vertices (keeps existing capacity). */
@@ -130,7 +137,7 @@ struct BfsOptions {
 struct TraversalPlan {
     /** False when bottom-up can never pay (sparse, high-diameter
      *  graphs whose frontiers stay narrow) — which also lets callers
-     *  skip the O(E log d) symmetry precheck bottom-up requires. */
+     *  skip the O(V + E) symmetry precheck bottom-up requires. */
     bool useBottomUp = true;
     uint64_t bottomUpEdgeDivisor = kBottomUpEdgeDivisor;
     uint64_t topDownSizeDivisor = kTopDownSizeDivisor;

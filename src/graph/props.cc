@@ -8,7 +8,6 @@
 #include "graph/props.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -44,31 +43,31 @@ bfsHops(const Graph &graph, VertexId source)
 }
 
 bool
-hasSymmetricAdjacency(const Graph &graph, ThreadPool *pool)
+hasSymmetricAdjacency(const Graph &graph)
 {
-    std::atomic<bool> asymmetric{false};
-    const auto num_vertices =
-        static_cast<std::size_t>(graph.numVertices());
-    forEachChunk(
-        num_vertices,
-        num_vertices >= kParallelGrain ? pool : nullptr,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            if (asymmetric.load(std::memory_order_relaxed))
-                return;
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto v = static_cast<VertexId>(i);
-                for (VertexId u : graph.neighbors(v)) {
-                    auto back = graph.neighbors(u);
-                    if (!std::binary_search(back.begin(), back.end(),
-                                            v)) {
-                        asymmetric.store(true,
-                                         std::memory_order_relaxed);
-                        return;
-                    }
-                }
-            }
-        });
-    return !asymmetric.load();
+    const VertexId num_vertices = graph.numVertices();
+    if (num_vertices == 0)
+        return true;
+    const EdgeId *const offsets = graph.offsets().data();
+    const VertexId *const nbrs = graph.rawNeighbors().data();
+    // cursor[u] is the next unmatched slot of N(u). Sources v arrive
+    // in ascending order, so on sorted symmetric lists each arc v->u
+    // finds v exactly at u's cursor. Every match consumes a distinct
+    // reverse slot, so matching all E arcs consumes all E slots and
+    // pairs the arcs one-to-one with their reverses, sorted or not.
+    // That is also why no closing sweep over the cursors is needed:
+    // after E matches, every cursor already sits at its list end.
+    std::vector<EdgeId> cursor(offsets, offsets + num_vertices);
+    for (VertexId v = 0; v < num_vertices; ++v) {
+        for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
+            const VertexId u = nbrs[e];
+            const EdgeId c = cursor[u];
+            if (c == offsets[u + 1] || nbrs[c] != v)
+                return false;
+            cursor[u] = c + 1;
+        }
+    }
+    return true;
 }
 
 namespace {
@@ -92,11 +91,11 @@ diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
     options.pool = pool;
     if (plan.useBottomUp) {
         // Bottom-up levels are only sound on symmetric adjacency;
-        // check once (an O(E log d) early-exit pass) and amortize it
-        // over the 2 * sweeps O(E) traversals it can accelerate. When
-        // the plan rules bottom-up out (sparse road-like graphs), the
-        // whole check is skipped.
-        options.allowBottomUp = hasSymmetricAdjacency(graph, pool);
+        // check once (a serial O(V + E) early-exit pass) and amortize
+        // it over the 2 * sweeps O(E) traversals it can accelerate.
+        // When the plan rules bottom-up out (sparse road-like graphs),
+        // the whole check is skipped.
+        options.allowBottomUp = hasSymmetricAdjacency(graph);
         options.bottomUpEdgeDivisor = plan.bottomUpEdgeDivisor;
         options.topDownSizeDivisor = plan.topDownSizeDivisor;
         options.bitmapFrontier = plan.bitmapFrontier;

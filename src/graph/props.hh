@@ -22,8 +22,6 @@
 
 namespace heteromap {
 
-class ThreadPool;
-
 /**
  * Summary of an input graph. When describing one of the paper's real
  * datasets, these fields hold the *nominal* Table I values; when
@@ -101,15 +99,24 @@ uint64_t approximateDiameter(const Graph &graph, unsigned sweeps,
 uint64_t countComponents(const Graph &graph);
 
 /**
- * @return true when the adjacency is symmetric (u in N(v) iff v in
- * N(u)), the precondition for bottom-up BFS levels. One early-exit
- * O(E log d) pass, fanned over @p pool when given. Assumes sorted
- * adjacency lists (the GraphBuilder invariant); an unsorted list can
- * only yield a false negative, which merely disables the bottom-up
- * fast path, never wrong traversal results.
+ * @return true when the adjacency is symmetric, counting multiplicity
+ * (u appears in N(v) exactly as often as v appears in N(u)), the
+ * precondition for bottom-up BFS levels.
+ *
+ * Cost: one serial early-exit pass, O(V + E) time and one EdgeId of
+ * scratch per vertex. Sources are visited in ascending order, and
+ * each arc v->u must find v at a per-vertex cursor into N(u), which
+ * then advances. Matching all E arcs this way consumes all E list
+ * slots, so no closing sweep over the cursors is needed.
+ *
+ * Assumes sorted adjacency lists (the GraphBuilder invariant). With
+ * sorted lists the result is exact; an unsorted list can only yield a
+ * false negative. A multigraph whose parallel arcs are not mirrored
+ * (u->v twice, v->u once) reports false. Either false negative only
+ * disables the bottom-up fast path: hop levels and GraphStats never
+ * depend on it.
  */
-bool hasSymmetricAdjacency(const Graph &graph,
-                           ThreadPool *pool = nullptr);
+bool hasSymmetricAdjacency(const Graph &graph);
 
 } // namespace heteromap
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "graph/generators.hh"
 #include "graph/props.hh"
 #include "graph/stats_cache.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 namespace heteromap {
@@ -56,6 +59,86 @@ directedChain(VertexId n)
     for (VertexId v = 0; v + 1 < n; ++v)
         builder.addEdge(v, v + 1);
     return builder.build();
+}
+
+/** Adjacency lists of @p g, in stored order. */
+std::vector<std::vector<VertexId>>
+adjacencyLists(const Graph &g)
+{
+    std::vector<std::vector<VertexId>> lists(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        auto nbrs = g.neighbors(v);
+        lists[v].assign(nbrs.begin(), nbrs.end());
+    }
+    return lists;
+}
+
+/** A Graph over @p lists exactly as given: no sort, no dedup. */
+Graph
+graphFromLists(const std::vector<std::vector<VertexId>> &lists)
+{
+    std::vector<EdgeId> offsets{0};
+    std::vector<VertexId> neighbors;
+    for (const auto &list : lists) {
+        neighbors.insert(neighbors.end(), list.begin(), list.end());
+        offsets.push_back(neighbors.size());
+    }
+    return Graph(std::move(offsets), std::move(neighbors));
+}
+
+/**
+ * Reference symmetry check: for every arc v->u, binary-search v in
+ * N(u). O(E log d); exact on sorted lists without parallel arcs, and
+ * blind to multiplicity.
+ */
+bool
+binarySearchSymmetric(const Graph &g)
+{
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        for (VertexId u : g.neighbors(v)) {
+            auto back = g.neighbors(u);
+            if (!std::binary_search(back.begin(), back.end(), v))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** Outputs of a plain queue-based BFS, for checking flatBfs. */
+struct QueueBfs {
+    std::vector<uint32_t> hops;
+    uint32_t depth = 0;
+    VertexId farthest = kInvalidVertex;
+    uint64_t reached = 0;
+};
+
+/** Textbook FIFO BFS over out-arcs from @p source. */
+QueueBfs
+queueBfs(const Graph &g, VertexId source)
+{
+    QueueBfs out;
+    out.hops.assign(g.numVertices(), UINT32_MAX);
+    out.hops[source] = 0;
+    std::deque<VertexId> queue{source};
+    while (!queue.empty()) {
+        const VertexId v = queue.front();
+        queue.pop_front();
+        ++out.reached;
+        out.depth = std::max(out.depth, out.hops[v]);
+        for (VertexId u : g.neighbors(v)) {
+            if (out.hops[u] == UINT32_MAX) {
+                out.hops[u] = out.hops[v] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        if (out.hops[v] == out.depth) {
+            out.farthest = v;
+            break;
+        }
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------
@@ -175,6 +258,45 @@ TEST(PropsFlatBfs, BottomUpHopsMatchTopDown)
     }
 }
 
+TEST(PropsFlatBfs, SerialAndPooledLevelsMatchQueueBfs)
+{
+    // The star's leaf level is wider than one kFrontierChunk but far
+    // below kParallelGrain, so it always runs serially. RMAT-15's
+    // middle levels carry more than kParallelGrain work, so with the
+    // pool they take the chunked claimBit path. Top-down only.
+    const Graph star = generateStar(3001);
+    ASSERT_GT(star.degree(0), kFrontierChunk);
+    ASSERT_LT(star.numEdges(), kParallelGrain);
+    const Graph rmat = generateRmat(15, 8.0, 43);
+    ASSERT_GT(rmat.numEdges(), 4 * kParallelGrain);
+
+    ThreadPool pool(2);
+    const std::pair<const Graph *, VertexId> runs[] = {
+        {&star, 0},
+        {&star, 1234},
+        {&rmat, 0},
+        {&rmat, rmat.numVertices() / 2},
+    };
+    for (const auto &[g, source] : runs) {
+        const QueueBfs expected = queueBfs(*g, source);
+        for (ThreadPool *fan : {static_cast<ThreadPool *>(nullptr),
+                                &pool}) {
+            std::vector<uint32_t> hops(g->numVertices(), UINT32_MAX);
+            FrontierScratch scratch;
+            scratch.prepare(g->numVertices());
+            scratch.clearVisited();
+            BfsOptions options;
+            options.pool = fan;
+            const BfsResult got =
+                flatBfs(*g, source, scratch, hops.data(), options);
+            EXPECT_EQ(hops, expected.hops);
+            EXPECT_EQ(got.depth, expected.depth);
+            EXPECT_EQ(got.farthest, expected.farthest);
+            EXPECT_EQ(got.reached, expected.reached);
+        }
+    }
+}
+
 TEST(PropsFlatBfs, FarthestIsMinIdOfDeepestLevel)
 {
     // Star of paths: 0 joined to four arms; two arms tie for the
@@ -237,11 +359,94 @@ TEST(PropsSymmetry, DetectsSymmetricAndDirectedAdjacency)
     EXPECT_TRUE(hasSymmetricAdjacency(disconnectedGraph()));
     EXPECT_FALSE(hasSymmetricAdjacency(directedChain(8)));
     EXPECT_TRUE(hasSymmetricAdjacency(Graph{}));
+    EXPECT_TRUE(hasSymmetricAdjacency(generateRmat(12, 8.0, 21)));
+}
 
-    ThreadPool pool(2);
-    Graph big = generateRmat(12, 8.0, 21);
-    EXPECT_EQ(hasSymmetricAdjacency(big, &pool),
-              hasSymmetricAdjacency(big));
+TEST(PropsSymmetry, LinearCheckMatchesBinarySearchOnPerturbations)
+{
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        const Graph graphs[] = {
+            generateMesh(1024, 4, seed),
+            generatePreferentialAttachment(1024, 4, seed),
+            generateRoadGrid(32, 32, seed),
+            generateRmat(10, 8.0, seed),
+            disconnectedGraph(),
+        };
+        for (const Graph &g : graphs) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " V=" << g.numVertices()
+                         << " E=" << g.numEdges());
+            ASSERT_TRUE(binarySearchSymmetric(g));
+            EXPECT_TRUE(hasSymmetricAdjacency(g));
+            const auto lists = adjacencyLists(g);
+            const auto check = [](const Graph &perturbed,
+                                  bool expected) {
+                EXPECT_EQ(binarySearchSymmetric(perturbed), expected);
+                EXPECT_EQ(hasSymmetricAdjacency(perturbed), expected);
+            };
+            // Drop the reverse of arc v->u: v leaves N(u).
+            const auto drop_reverse = [&](VertexId v, VertexId u) {
+                auto cut = lists;
+                cut[u].erase(
+                    std::find(cut[u].begin(), cut[u].end(), v));
+                return graphFromLists(cut);
+            };
+
+            // The generators emit no self-loops, so every arc here
+            // joins two distinct vertices.
+            Rng rng(seed * 977 + g.numEdges());
+            VertexId v = 0;
+            do {
+                v = static_cast<VertexId>(
+                    rng.nextBounded(g.numVertices()));
+            } while (lists[v].empty());
+            const VertexId u =
+                lists[v][rng.nextBounded(lists[v].size())];
+            ASSERT_NE(u, v);
+            check(drop_reverse(v, u), false);
+
+            // The last vertex with neighbors, both arc directions.
+            VertexId last = g.numVertices() - 1;
+            while (lists[last].empty())
+                --last;
+            const VertexId near = lists[last].front();
+            ASSERT_NE(near, last);
+            check(drop_reverse(last, near), false);
+            check(drop_reverse(near, last), false);
+
+            // Self-loops are their own reverse arcs.
+            auto looped = lists;
+            for (int k = 0; k < 8; ++k) {
+                const auto w = static_cast<VertexId>(
+                    rng.nextBounded(g.numVertices()));
+                auto &list = looped[w];
+                const auto at =
+                    std::lower_bound(list.begin(), list.end(), w);
+                if (at == list.end() || *at != w)
+                    list.insert(at, w);
+            }
+            check(graphFromLists(looped), true);
+
+            // One list out of order: the cursors can no longer meet
+            // the ascending sources, so the check must say false.
+            auto unsorted = lists;
+            VertexId w = static_cast<VertexId>(
+                rng.nextBounded(g.numVertices()));
+            while (unsorted[w].size() < 2)
+                w = (w + 1) % g.numVertices();
+            std::reverse(unsorted[w].begin(), unsorted[w].end());
+            EXPECT_FALSE(hasSymmetricAdjacency(graphFromLists(unsorted)));
+        }
+    }
+}
+
+TEST(PropsSymmetry, MultigraphCountsMultiplicity)
+{
+    // 0 -> 1 twice, 1 -> 0 once: each arc needs its own reverse.
+    const Graph unmirrored = graphFromLists({{1, 1}, {0}});
+    EXPECT_FALSE(hasSymmetricAdjacency(unmirrored));
+    EXPECT_TRUE(binarySearchSymmetric(unmirrored)); // blind to it
+    EXPECT_TRUE(hasSymmetricAdjacency(graphFromLists({{1, 1}, {0, 0}})));
 }
 
 TEST(PropsRegression, ComponentAndDiameterSemanticsUnchanged)
