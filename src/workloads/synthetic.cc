@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "workloads/registry.hh"
@@ -75,8 +76,10 @@ SyntheticWorkload::run(const Graph &graph, Executor &exec) const
             // Phase code share scales the work items it covers.
             const auto items = static_cast<uint64_t>(
                 std::max(1.0, spec.share * static_cast<double>(n)));
+            // Seed from the phase name's characters, not its address:
+            // a literal's address moves between processes under ASLR.
             Rng phase_rng(seed_ ^ (iter * 1315423911ULL) ^
-                          reinterpret_cast<uintptr_t>(spec.name));
+                          crc64(spec.name));
 
             // Frontier-style kinds run as a chain of narrow
             // invocations (each a dependence level); data-parallel

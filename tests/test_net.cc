@@ -6,7 +6,8 @@
  * admission with injected clocks, the shard-aware statusz roll-up,
  * and loopback end-to-end serving — echo under load, transport
  * errors feeding the RetryingClient breaker ladder, per-shard cache
- * affinity, and quota fairness. Every suite name contains "Net" so
+ * affinity, and quota fairness, including a multi-tenant mix over
+ * shared connections. Every suite name contains "Net" so
  * `tools/check_tsan.sh -R Net` runs exactly this file under
  * ThreadSanitizer.
  */
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -40,6 +42,7 @@
 #include "serve/model_registry.hh"
 #include "serve/retrying_client.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/telemetry.hh"
 #include "workloads/registry.hh"
 
@@ -939,6 +942,98 @@ TEST_F(NetLoopback, QuotaLimitedClientShedsWhileOthersServe)
               serve::ServeStatus::Ok);
 
     EXPECT_EQ(server_->admission().quotaRejected(Lane::Normal), 7u);
+    server_->stop();
+}
+
+TEST_F(NetLoopback, MultiTenantQuotaShedsOnlyPinnedTenants)
+{
+    // A fixed-seed, Zipf-like tenant mix over four shared
+    // connections: every call sets its own tenant and lane, so each
+    // connection carries many tenants. The three hottest tenants are
+    // pinned to a quota that runs dry after five requests; everyone
+    // else keeps a generous default and must never shed.
+    constexpr std::size_t kConns = 4;
+    constexpr std::size_t kPerConn = 50;
+    constexpr std::size_t kTenants = 200;
+    constexpr uint64_t kPinned = 3;
+    constexpr uint64_t kPinnedBurst = 5;
+    ServerOptions options;
+    options.admission.clientRatePerSec = 1e6;
+    options.admission.clientBurst = 1e6;
+    const Endpoint endpoint = startServer(options);
+    for (uint64_t tenant = 0; tenant < kPinned; ++tenant)
+        server_->admission().setClientQuota(tenant, 0.001,
+                                            kPinnedBurst);
+
+    std::vector<double> zipf; // s = 1.1: tenant 0 is the hottest
+    for (std::size_t rank = 1; rank <= kTenants; ++rank)
+        zipf.push_back(std::pow(static_cast<double>(rank), -1.1));
+
+    std::atomic<uint64_t> transport_errors{0}, errors{0}, sheds{0};
+    std::atomic<uint64_t> pinned_quota_sheds{0}, unpinned_sheds{0};
+    std::atomic<uint64_t> priority_sent{0}, stray_priority_sheds{0};
+    std::atomic<uint64_t> pinned_sent[kPinned] = {};
+    std::vector<std::thread> connections;
+    for (std::size_t conn = 0; conn < kConns; ++conn) {
+        connections.emplace_back([&, conn] {
+            Rng rng(7 * 7919 + conn);
+            NetClient client(endpoint);
+            const char *graphs[] = {"mesh", "social", "road"};
+            for (std::size_t i = 0; i < kPerConn; ++i) {
+                const std::size_t tenant = rng.nextDiscrete(zipf);
+                const bool priority = rng.nextBool(0.1);
+                const bool pinned = tenant < kPinned;
+                client.setClientId(tenant);
+                client.setPriority(priority);
+                if (pinned)
+                    pinned_sent[tenant].fetch_add(1);
+                if (priority)
+                    priority_sent.fetch_add(1);
+                auto response = client.call(request(
+                    i % 2 ? "BFS" : "PR", graphs[tenant % 3]));
+                if (response.status == serve::ServeStatus::Ok)
+                    continue;
+                if (response.status != serve::ServeStatus::Shed) {
+                    errors.fetch_add(1);
+                    continue;
+                }
+                sheds.fetch_add(1);
+                const bool quota = response.shedReason ==
+                                   serve::ShedReason::QuotaExceeded;
+                if (pinned && quota)
+                    pinned_quota_sheds.fetch_add(1);
+                if (!pinned)
+                    unpinned_sheds.fetch_add(1);
+                // The per-tenant quota covers both lanes, so a shed
+                // priority request must be a pinned tenant's quota
+                // shed; nothing else may shed the priority lane.
+                if (priority && !(pinned && quota))
+                    stray_priority_sheds.fetch_add(1);
+            }
+            transport_errors.fetch_add(client.transportErrors());
+        });
+    }
+    for (auto &connection : connections)
+        connection.join();
+
+    // Each pinned bucket starts at its burst and refills at a
+    // thousandth of a token per second, so every request past the
+    // burst is shed.
+    uint64_t expected_quota_sheds = 0;
+    for (const auto &sent : pinned_sent)
+        expected_quota_sheds +=
+            sent.load() > kPinnedBurst ? sent.load() - kPinnedBurst : 0;
+    ASSERT_GT(expected_quota_sheds, 0u);
+    ASSERT_GT(priority_sent.load(), 0u);
+
+    EXPECT_EQ(transport_errors.load(), 0u);
+    EXPECT_EQ(errors.load(), 0u);
+    EXPECT_EQ(pinned_quota_sheds.load(), expected_quota_sheds);
+    EXPECT_EQ(unpinned_sheds.load(), 0u);
+    EXPECT_EQ(stray_priority_sheds.load(), 0u);
+    EXPECT_EQ(server_->admission().quotaRejected(Lane::Normal) +
+                  server_->admission().quotaRejected(Lane::Priority),
+              sheds.load());
     server_->stop();
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "graph/generators.hh"
@@ -151,6 +153,26 @@ TEST_F(SyntheticTest, DeterministicForSameSeed)
     auto c = SyntheticWorkload(b, 8).runProfiled(g).first;
     EXPECT_EQ(a.vertexValues, c.vertexValues);
     EXPECT_DOUBLE_EQ(a.scalar, c.scalar);
+}
+
+// Pinned to literals, so the check holds across processes: a seed
+// derived from anything process-local (a string literal's address
+// under ASLR) changes these totals from one run to the next, which
+// a same-process comparison cannot see.
+TEST_F(SyntheticTest, ProfileIsPinnedAcrossProcesses)
+{
+    BVariables b;
+    b.b6 = 0.5;
+    b.b8 = 0.5;
+    b.b12 = 0.5;
+    const auto [output, profile] =
+        SyntheticWorkload(b, 42).runProfiled(graph());
+    EXPECT_EQ(profile.totalOps(), 38460.0);
+    EXPECT_EQ(profile.totalAtomics(), 8836.0);
+    EXPECT_EQ(profile.totalBytes(), 82688.0);
+    uint64_t scalar_bits = 0;
+    std::memcpy(&scalar_bits, &output.scalar, sizeof(scalar_bits));
+    EXPECT_EQ(scalar_bits, 0x41219431f8545f4cull);
 }
 
 TEST_F(SyntheticTest, SamplerProducesRequestedCountOnGrid)

@@ -12,8 +12,8 @@
 # equivalence suite (the thread_local MLP batch workspace must stay
 # private per worker), and the network serving tier (epoll loop +
 # harvester threads + outbox handoff, NetClient connections, the
-# multi-tenant admission bucket map, and the fixed-seed loopback
-# soak).
+# multi-tenant admission bucket map, and the multi-tenant loopback
+# mix over shared connections).
 # Run from the repo root; uses a separate build tree so the normal
 # build and the tier-1 ctest run stay fast.
 #
@@ -41,7 +41,6 @@ cmake -B "$BUILD_DIR" -S . -DHETEROMAP_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j \
     --target test_training test_props test_telemetry telemetry_tour \
              test_serve serving_tour test_chaos bench_serving_chaos \
-             test_forensics test_batch_inference test_net \
-             bench_net_serving
+             test_forensics test_batch_inference test_net
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$REGEX"
 echo "TSan check passed for '$REGEX'"
