@@ -16,13 +16,13 @@ namespace heteromap {
 
 namespace {
 
-/** hashSampled() seed of the edge-weight hash (Graph::weightsHash). */
+/** hashElements() seed of the edge-weight hash (Graph::weightsHash). */
 constexpr uint64_t kWeightsSeed = 0x3e16b75ull;
 
 /** An element's hash input: integers by value, floats by bit pattern. */
 template <typename T>
 uint64_t
-sampleBits(T value)
+elementBits(T value)
 {
     if constexpr (std::is_same_v<T, float>)
         return std::bit_cast<uint32_t>(value);
@@ -31,24 +31,22 @@ sampleBits(T value)
 }
 
 /**
- * Order-sensitive strided hash over @p data: every stride-th element
- * plus the last one, where the stride caps the work at
- * kFingerprintSamples elements. @p seed decorrelates the arrays'
- * hashes so their combined bits are independent.
+ * Order-sensitive hash over every element of @p data, then the last
+ * one again (the trailing mix of the earlier strided scheme, kept so
+ * arrays it covered exactly keep their hash). @p seed decorrelates
+ * the arrays' hashes so their combined bits are independent.
  */
 template <typename T>
 uint64_t
-hashSampled(const std::vector<T> &data, uint64_t seed)
+hashElements(const std::vector<T> &data, uint64_t seed)
 {
     const std::size_t count = data.size();
     uint64_t h = mix64(seed ^ count);
     if (count == 0)
         return h;
-    const std::size_t stride =
-        count <= kFingerprintSamples ? 1 : count / kFingerprintSamples;
-    for (std::size_t i = 0; i < count; i += stride)
-        h = mix64(h ^ sampleBits(data[i]));
-    return mix64(h ^ sampleBits(data[count - 1]));
+    for (const T &value : data)
+        h = mix64(h ^ elementBits(value));
+    return mix64(h ^ elementBits(data[count - 1]));
 }
 
 } // namespace
@@ -66,7 +64,7 @@ mixFingerprint(const GraphFingerprint &fingerprint)
 Graph::Graph()
 {
     fingerprint_ = computeFingerprint();
-    weightsHash_ = hashSampled(weights_, kWeightsSeed);
+    weightsHash_ = hashElements(weights_, kWeightsSeed);
 }
 
 Graph::Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
@@ -81,7 +79,7 @@ Graph::Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
     HM_ASSERT(weights_.empty() || weights_.size() == neighbors_.size(),
               "weight array arity mismatch");
     fingerprint_ = computeFingerprint();
-    weightsHash_ = hashSampled(weights_, kWeightsSeed);
+    weightsHash_ = hashElements(weights_, kWeightsSeed);
 }
 
 GraphFingerprint
@@ -91,8 +89,8 @@ Graph::computeFingerprint() const
     fp.numVertices = numVertices();
     fp.numEdges = numEdges();
     fp.footprintBytes = footprintBytes();
-    fp.offsetsHash = hashSampled(offsets_, 0x0ff5e75ull);
-    fp.neighborsHash = hashSampled(neighbors_, 0xad7ace2ull);
+    fp.offsetsHash = hashElements(offsets_, 0x0ff5e75ull);
+    fp.neighborsHash = hashElements(neighbors_, 0xad7ace2ull);
     return fp;
 }
 

@@ -10,23 +10,18 @@
  * profile caches, the serving batcher, shard routing, and audit
  * records all read instead of re-hashing the CSR arrays per request.
  * The fingerprint hashes the vertex and edge counts, the byte
- * footprint, and strided samples of the offset and neighbor arrays
- * (capped at kFingerprintSamples elements per array, so it stays
- * O(1)-ish however large the graph). It is content-based, not
- * identity-based: two Graph objects holding the same CSR arrays — a
- * copy, or the same chunk re-cut from a stream — agree. Graphs small
- * enough to fall under the cap are covered exactly; above it the
- * fingerprint is probabilistic — two graphs that agree on counts and
- * on every sampled element collide, which for a performance
- * predictor means serving the structurally-twin graph's stats, not
- * a correctness failure. Edge weight values are not in the
- * fingerprint (only their count, through the footprint), so shard
- * routing and the stats cache — whose measurement never reads
- * weights — treat weight twins as one graph. Weights are hashed
- * separately, with the same sampling, into weightsHash(): the
- * profile cache and the serving batcher key on it too, because
- * workloads read weights (SSSP-Delta picks its bucket width from
- * them).
+ * footprint, and every element of the offset and neighbor arrays —
+ * one O(V + E) pass, the same order as building the CSR. It is
+ * content-based, not identity-based: two Graph objects holding the
+ * same CSR arrays — a copy, or the same chunk re-cut from a stream —
+ * agree, and graphs that differ in any one arc differ (up to 64-bit
+ * hash collisions). Edge weight values are not in the fingerprint
+ * (only their count, through the footprint), so shard routing and
+ * the stats cache — whose measurement never reads weights — treat
+ * weight twins as one graph. Weights are hashed separately, every
+ * element, into weightsHash(): the profile cache and the serving
+ * batcher key on it too, because workloads read weights (SSSP-Delta
+ * picks its bucket width from them).
  */
 
 #ifndef HETEROMAP_GRAPH_GRAPH_HH
@@ -58,9 +53,6 @@ struct GraphFingerprint {
 
     bool operator==(const GraphFingerprint &) const = default;
 };
-
-/** Elements sampled per CSR array when fingerprinting. */
-inline constexpr std::size_t kFingerprintSamples = 4096;
 
 /**
  * Mix a fingerprint's five fields into one 64-bit hash — the compact
@@ -168,9 +160,9 @@ class Graph
     const GraphFingerprint &fingerprint() const { return fingerprint_; }
 
     /**
-     * Strided sampled hash of the edge-weight bit patterns (see the
-     * file comment), fixed at construction; one constant for every
-     * unweighted graph.
+     * Hash of every edge-weight bit pattern (see the file comment),
+     * fixed at construction; one constant for every unweighted
+     * graph.
      */
     uint64_t weightsHash() const { return weightsHash_; }
 

@@ -326,13 +326,39 @@ PredictionService::workerLoop(std::size_t slot)
         health.busy.store(true, std::memory_order_release);
         beat(health);
 
+        const auto popped = SteadyClock::now();
         std::vector<PendingRequest> batch;
         batch.push_back(std::move(first));
-        gatherBatch(batch);
-        beat(health);
+        // Shed a head that outlived its queueing budget before
+        // spending the measurement on it.
+        if (batch.front().hasDeadline && popped > batch.front().deadline) {
+            respondShed(batch.front(), ShedReason::DeadlineExpired);
+            noteResponded(1);
+            continue;
+        }
 
         bool lethal = false;
         try {
+            // The head's stats lookup runs inside the linger window,
+            // which opened at its pop: a warm key (a cache hit) lingers
+            // as before, while a cold key's measurement fills the
+            // window and the gather becomes one non-blocking scan that
+            // still collects every same-key request queued meanwhile.
+            // One measurement amortizes across the batch (every member
+            // shares the fingerprint by construction).
+            const GraphStats stats = [&] {
+                HM_SPAN("serve.measure");
+                const PendingRequest &head = batch.front();
+                return shardFor(head.key).measure(*head.request.graph,
+                                                  head.request.measure);
+            }();
+            const double measure_ms =
+                millisBetween(popped, SteadyClock::now());
+            HM_HISTOGRAM_RECORD_MS("serve.batch.measure_ms", measure_ms);
+
+            gatherBatch(batch, popped);
+            beat(health);
+
             if (options_.chaos != nullptr) {
                 // Stall: sleep without beating the heartbeat, so
                 // the watchdog sees a busy worker going silent.
@@ -346,7 +372,7 @@ PredictionService::workerLoop(std::size_t slot)
                     throw ChaosCrash("chaos: worker crashed on batch");
                 }
             }
-            serveBatch(batch);
+            serveBatch(batch, stats, measure_ms);
         } catch (const ChaosCrash &e) {
             // A chaos crash is a rehearsed postmortem moment: dump
             // the flight recorder before containing the batch.
@@ -375,7 +401,8 @@ PredictionService::workerLoop(std::size_t slot)
 }
 
 void
-PredictionService::gatherBatch(std::vector<PendingRequest> &batch)
+PredictionService::gatherBatch(std::vector<PendingRequest> &batch,
+                               SteadyClock::time_point popped)
 {
     if (options_.maxBatch <= batch.size())
         return;
@@ -387,33 +414,38 @@ PredictionService::gatherBatch(std::vector<PendingRequest> &batch)
             ? 0.0
             : options_.maxBatchDelayMs;
     const BatchKey key = batch.front().key;
-    const auto deadline = SteadyClock::now() + millisDuration(linger);
+    const auto deadline = popped + millisDuration(linger);
     queue_.popMatchingUntil(key, options_.maxBatch - batch.size(),
                             deadline, batch);
 }
 
 void
-PredictionService::serveBatch(std::vector<PendingRequest> &batch)
+PredictionService::serveBatch(std::vector<PendingRequest> &batch,
+                              const GraphStats &stats, double measureMs)
 {
     HM_SPAN("serve.batch");
     HM_COUNTER_INC("serve.batches");
     HM_COUNTER_ADD("serve.batched_requests", batch.size());
 
-    const auto start = SteadyClock::now();
+    // Service starts at the measurement: the batch's stats lookup is
+    // charged to serviceMs and the linger after it to queueMs, so
+    // queueMs + serviceMs still spans enqueue -> response.
+    const auto now = SteadyClock::now();
+    const auto start = now - millisDuration(measureMs);
 
-    // Shed whatever outlived its queueing budget before spending the
-    // measurement on it. Requests stay in `batch` (indices, not
-    // moves) so an exception below can still fail their promises.
+    // Shed gathered members that outlived their queueing budget (the
+    // head's was checked at its pop). Requests stay in `batch`
+    // (indices, not moves) so an exception below can still fail their
+    // promises.
     std::vector<std::size_t> live;
     live.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].hasDeadline && start > batch[i].deadline)
+    live.push_back(0);
+    for (std::size_t i = 1; i < batch.size(); ++i) {
+        if (batch[i].hasDeadline && now > batch[i].deadline)
             respondShed(batch[i], ShedReason::DeadlineExpired);
         else
             live.push_back(i);
     }
-    if (live.empty())
-        return;
 
     const int level = degradation_.load(std::memory_order_acquire);
     const bool use_fallback =
@@ -438,17 +470,6 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
 
     Timer timer;
     timer.start();
-
-    // One GraphStats measurement amortizes across the batch (every
-    // member shares the fingerprint by construction).
-    const PendingRequest &head = batch[live.front()];
-    const GraphStats stats = [&] {
-        HM_SPAN("serve.measure");
-        return shardFor(head.key).measure(*head.request.graph,
-                                          head.request.measure);
-    }();
-    const double measure_ms = timer.lapMillis();
-    HM_HISTOGRAM_RECORD_MS("serve.batch.measure_ms", measure_ms);
 
     // Pass 1 — group members by (workload, input, edge weights): one
     // featurize per group, and note which groups have at least one member that
@@ -539,8 +560,12 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
             response.modelEpoch = snapshot->epoch;
             response.batchSize = live.size();
             response.degradationLevel = level;
+            // A member that arrived during the measurement starts
+            // service at its own arrival.
+            const auto served_from =
+                std::max(start, member_pending.enqueued);
             response.queueMs =
-                millisBetween(member_pending.enqueued, start);
+                millisBetween(member_pending.enqueued, served_from);
             HM_HISTOGRAM_RECORD_MS("serve.queue_wait_ms",
                                    response.queueMs);
 
@@ -563,7 +588,7 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
             }
 
             response.serviceMs =
-                millisBetween(start, SteadyClock::now());
+                millisBetween(served_from, SteadyClock::now());
             HM_HISTOGRAM_RECORD_MS("serve.request.service_ms",
                                    response.serviceMs);
 
@@ -607,7 +632,7 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
                 audit.setAccelerator(acceleratorKindName(
                     response.deployment.config.accelerator));
                 audit.queueMs = response.queueMs;
-                audit.measureMs = measure_ms;
+                audit.measureMs = measureMs;
                 audit.featurizeMs = group.featurizeMs;
                 audit.inferMs = response.deployment.overheadMs;
                 audit.serviceMs = response.serviceMs;

@@ -5,12 +5,18 @@
  * Clients submit ServeRequests and get a future<ServeResponse>; a
  * worker group on util/thread_pool drains a bounded RequestQueue with
  * admission control (serve/request_queue.hh). Workers micro-batch:
- * after popping a request they linger up to maxBatchDelayMs
- * collecting queued requests that share its graph fingerprint, so one
- * GraphStats measurement — and, per distinct (workload, input, edge
- * weights) in the batch, one featurize and one inference — amortize
- * across the whole batch. Featurize never re-runs the graph
- * algorithm for a known (workload, graph): the executed
+ * the linger window opens when a worker pops a request (the batch
+ * head) and lasts maxBatchDelayMs. The head's GraphStats lookup runs
+ * first, inside the window; then the worker collects queued requests
+ * that share its graph fingerprint until the window closes. A warm
+ * lookup costs microseconds, so a warm head lingers the full window;
+ * a cold measurement that outlasts it leaves one non-blocking scan.
+ * That one GraphStats measurement — and, per distinct (workload,
+ * input, edge weights) in the batch, one featurize and one
+ * inference — amortize across the whole batch. A response's
+ * serviceMs starts at the measurement and its queueMs covers the
+ * wait before it plus any linger after it. Featurize never re-runs
+ * the graph algorithm for a known (workload, graph): the executed
  * WorkloadProfile comes from the service's ProfileCache
  * (workloads/profile_cache.hh), and the case is assembled around it
  * (core/oracle.hh assembleCase) — the same bytes makeCase would
@@ -132,9 +138,11 @@ struct ServiceOptions {
     std::size_t maxBatch = 8;
 
     /**
-     * How long a worker lingers for coalescible arrivals after the
-     * first request of a batch, in milliseconds. 0 batches only
-     * what is already queued.
+     * Batching window in milliseconds, opened when a worker pops the
+     * first request of a batch. The head's stats lookup runs inside
+     * it, then the worker collects coalescible arrivals until it
+     * closes; a cold measurement longer than the window leaves one
+     * non-blocking scan. 0 batches only what is already queued.
      */
     double maxBatchDelayMs = 0.2;
 
@@ -435,8 +443,12 @@ class PredictionService
 
     GraphStatsCache &shardFor(const BatchKey &key);
     void workerLoop(std::size_t slot);
-    void gatherBatch(std::vector<PendingRequest> &batch);
-    void serveBatch(std::vector<PendingRequest> &batch);
+    /** Coalesce same-key requests into @p batch until @p popped + linger. */
+    void gatherBatch(std::vector<PendingRequest> &batch,
+                     std::chrono::steady_clock::time_point popped);
+    /** Serve @p batch from the head's @p stats, measured in @p measureMs. */
+    void serveBatch(std::vector<PendingRequest> &batch,
+                    const GraphStats &stats, double measureMs);
     void superviseDeploy(
         const std::shared_ptr<const ModelSnapshot> &snapshot,
         const BenchmarkCase &bench, ServeResponse &response);

@@ -145,9 +145,9 @@ struct ServeResponse {
      */
     bool servedByFallback = false;
 
-    double queueMs = 0.0;         //!< admission -> dequeue wait
-    double serviceMs = 0.0;       //!< dequeue -> response, whole batch
-    std::size_t batchSize = 0;    //!< requests coalesced with this one
+    double queueMs = 0.0;      //!< admission -> service start, linger included
+    double serviceMs = 0.0;    //!< batch's stats lookup -> response
+    std::size_t batchSize = 0; //!< requests coalesced with this one
 };
 
 /**

@@ -667,6 +667,43 @@ TEST(PropsFingerprint, ContentBasedAcrossCopies)
     EXPECT_TRUE(g.fingerprint() == rebuilt.fingerprint());
 }
 
+TEST(PropsFingerprint, SmallWeightedGraphIsPinned)
+{
+    // Arrays this small were always hashed in full; the values are
+    // the ones every earlier scheme produced, so routing is stable.
+    const Graph road = generateRoadGrid(8, 8, 3);
+    EXPECT_EQ(mixFingerprint(road.fingerprint()), 0x16567fdda2ed9f99ull);
+    EXPECT_EQ(road.weightsHash(), 0xfc18b761d9cd580aull);
+}
+
+TEST(PropsFingerprint, EveryArcAndWeightCounts)
+{
+    // 12,000 arcs: a hash that strides over large arrays (every
+    // second element at this size) never reads arc 1.
+    constexpr VertexId kVertices = 3000;
+    std::vector<EdgeId> offsets{0};
+    std::vector<VertexId> neighbors;
+    for (VertexId v = 0; v < kVertices; ++v) {
+        for (VertexId step = 1; step <= 4; ++step)
+            neighbors.push_back((v + step) % kVertices);
+        offsets.push_back(neighbors.size());
+    }
+    const std::vector<float> weights(neighbors.size(), 1.0f);
+    const Graph base(offsets, neighbors, weights);
+    ASSERT_GT(base.numEdges(), 8192u);
+
+    std::vector<VertexId> redirected = neighbors;
+    redirected[1] = (redirected[1] + kVertices / 2) % kVertices;
+    const Graph moved(offsets, redirected, weights);
+    EXPECT_FALSE(moved.fingerprint() == base.fingerprint());
+
+    std::vector<float> reweighted = weights;
+    reweighted[1] = 2.0f;
+    const Graph twin(offsets, neighbors, reweighted);
+    EXPECT_TRUE(twin.fingerprint() == base.fingerprint());
+    EXPECT_NE(twin.weightsHash(), base.weightsHash());
+}
+
 TEST(PropsStatsCache, HitMissAndValueCorrectness)
 {
     GraphStatsCache cache(8);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -679,6 +680,7 @@ TEST_F(ServeServiceTest, ExpiredDeadlineIsShedAtDequeue)
     ServiceOptions options;
     options.workers = 1;
     options.maxBatch = 1;
+    options.statsMetricsPrefix.clear(); // service-owned counters
     PredictionService service(registry_, options);
 
     // Four un-deadlined requests keep the single worker busy for
@@ -701,6 +703,8 @@ TEST_F(ServeServiceTest, ExpiredDeadlineIsShedAtDequeue)
     service.close();
     EXPECT_EQ(service.shed(), 1u);
     EXPECT_EQ(service.completed(), 4u);
+    // Shed before its measurement: only the mesh ever missed.
+    EXPECT_EQ(service.statsMisses(), 1u);
 }
 
 TEST_F(ServeServiceTest, HotSwapLandsMidTrafficWithoutDrops)
@@ -1190,6 +1194,98 @@ TEST_F(ServeServiceTest, WeightTwinsNeverShareAProfile)
     EXPECT_EQ(service.profileHits(), 2u);
 }
 
+/**
+ * Slowest of three uncached measurements of @p graph, in
+ * milliseconds: a generous bound on what one cold stats lookup costs
+ * a worker on this host.
+ */
+double
+coldMeasureMs(const Graph &graph, const MeasureOptions &options)
+{
+    std::vector<double> runs;
+    for (int i = 0; i < 3; ++i) {
+        const auto begin = std::chrono::steady_clock::now();
+        measureGraph(graph, options);
+        runs.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count());
+    }
+    return *std::max_element(runs.begin(), runs.end());
+}
+
+TEST_F(ServeServiceTest, ColdHeadMeasuresInsideTheLingerWindow)
+{
+    // A graph whose cold measurement takes tens of milliseconds,
+    // measured serially so the shared pool's load cannot skew it.
+    const auto big = sharedGraph(generateMesh(1u << 18, 4, 1));
+    ServeRequest request = makeRequest(bfs_, big, "g");
+    request.measure.threads = 1;
+    const double cold = coldMeasureMs(*big, request.measure);
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatchDelayMs = cold / 2.0; // the measurement outlasts it
+    PredictionService service(registry_, options);
+
+    // Warm the workload profile under another stats key (no diameter
+    // sweeps, so another batch key), leaving the timed request with
+    // only its cold stats lookup to pay.
+    ServeRequest warmup = request;
+    warmup.measure.sweeps = 0;
+    ASSERT_EQ(service.submit(warmup).get().status, ServeStatus::Ok);
+
+    const ServeResponse served = service.submit(request).get();
+    service.close();
+    ASSERT_EQ(served.status, ServeStatus::Ok);
+    EXPECT_EQ(served.batchSize, 1u);
+    // No second linger after the measurement: waiting first and
+    // measuring after costs at least cold + linger.
+    EXPECT_LT(served.queueMs + served.serviceMs,
+              cold + 0.75 * options.maxBatchDelayMs)
+        << "cold " << cold << " ms";
+    // The measurement is service time, not queueing: the head never
+    // lingered, because its lookup filled the window.
+    EXPECT_GE(served.serviceMs, 0.5 * cold) << "cold " << cold << " ms";
+    EXPECT_LT(served.queueMs, 0.5 * options.maxBatchDelayMs)
+        << "cold " << cold << " ms";
+}
+
+TEST_F(ServeServiceTest, ArrivalDuringTheHeadMeasurementJoinsItsBatch)
+{
+    const auto big = sharedGraph(generateMesh(1u << 18, 4, 1));
+    ServeRequest request = makeRequest(bfs_, big, "g");
+    request.measure.threads = 1;
+    const double cold = coldMeasureMs(*big, request.measure);
+    const HeteroMap &framework = *registry_.current()->framework;
+    const Deployment expected = framework.deploy(
+        makeCase(*bfs_, *big, "g", measureGraph(*big, request.measure)));
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatchDelayMs = cold / 2.0;
+    options.statsMetricsPrefix.clear(); // service-owned counters
+    PredictionService service(registry_, options);
+
+    // The idle worker pops the head at once and starts measuring; a
+    // quarter of the way in, a same-key request arrives. The gather
+    // after the measurement must still collect it.
+    auto head = service.submit(request);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(cold / 4.0));
+    auto joiner = service.submit(request);
+    const ServeResponse head_served = head.get();
+    const ServeResponse joiner_served = joiner.get();
+    service.close();
+
+    ASSERT_EQ(head_served.status, ServeStatus::Ok);
+    ASSERT_EQ(joiner_served.status, ServeStatus::Ok);
+    EXPECT_EQ(head_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_EQ(joiner_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_TRUE(sameDeployment(head_served.deployment, expected));
+    EXPECT_TRUE(sameDeployment(joiner_served.deployment, expected));
+    EXPECT_EQ(service.statsMisses() + service.statsHits(), 1u);
+}
+
 TEST(ServeProfileCache, BoundsEntriesAndEvictsLeastRecent)
 {
     const auto pagerank = sharedWorkload("PR");
@@ -1285,7 +1381,9 @@ TEST(ServeGraphFingerprint, PinnedToThePreviousScheme)
 {
     // Values produced by the free-function fingerprint this member
     // replaced. Shard routing and audit records hash these, so any
-    // change here silently re-routes graphs.
+    // change here silently re-routes graphs. That scheme sampled
+    // arrays of 8,192 elements or more with a stride; they are now
+    // hashed in full, so rmat and road carry their full-hash values.
     struct Pin {
         const char *name;
         Graph graph;
@@ -1304,16 +1402,16 @@ TEST(ServeGraphFingerprint, PinnedToThePreviousScheme)
          {128ull, 254ull, 3064ull, 0x006d53d8c1c1c44full,
           0x95fd9fc6feed15b9ull},
          0x02e1091d0373164aull},
-        // Above kFingerprintSamples: exercises the strided path.
+        // Large: both CSR arrays exceed 8,192 elements.
         {"rmat", generateRmat(14, 8.0, 7),
-         {16384ull, 228382ull, 1958136ull, 0xcf27f75aa057e26dull,
-          0xabac147224ebbfecull},
-         0x1766a3f7221a6ff6ull},
+         {16384ull, 228382ull, 1958136ull, 0xb3826039cc84d1c3ull,
+          0x8e7a7009c37a922full},
+         0xdaa53f75c2de17c7ull},
         // Weighted: the weights count through the footprint.
         {"road", generateRoadGrid(96, 96, 3),
-         {9216ull, 36846ull, 368504ull, 0x15630c3c0019bb39ull,
-          0x3121a7b7592c14d5ull},
-         0x03f660137646cc32ull},
+         {9216ull, 36846ull, 368504ull, 0xf0caa2f135afa7a2ull,
+          0x8f441691e3646a57ull},
+         0x7aa8c4f536cbf179ull},
     };
     for (const Pin &pin : pins) {
         EXPECT_TRUE(pin.graph.fingerprint() == pin.fingerprint)
