@@ -189,7 +189,7 @@ main(int argc, char **argv)
 
     // --- Phase B: exact shed accounting under Reject. -------------
     const uint64_t shed_counter_before =
-        telemetry::registry().counter("serve.shed").value();
+        telemetry::registry().snapshot().counters["serve.shed"];
 
     ServiceOptions reject_options;
     reject_options.workers = 1;
@@ -223,7 +223,7 @@ main(int argc, char **argv)
     overloaded.close();
 
     const uint64_t shed_counter_delta =
-        telemetry::registry().counter("serve.shed").value() -
+        telemetry::registry().snapshot().counters["serve.shed"] -
         shed_counter_before;
     if (ok + shed != kBurst)
         return fail("burst responses do not add up");

@@ -26,11 +26,7 @@ GraphStatsCache::makeKey(const Graph &graph,
     return {graph.fingerprint(), options.sweeps, options.seed};
 }
 
-GraphStatsCache::GraphStatsCache(std::size_t capacity,
-                                 const char *metrics_prefix)
-    : memo_(capacity, metrics_prefix)
-{
-}
+GraphStatsCache::GraphStatsCache(std::size_t capacity) : memo_(capacity) {}
 
 GraphStats
 GraphStatsCache::measure(const Graph &graph,
@@ -56,8 +52,14 @@ globalStatsCache()
     // The global cache is the one whose counters back the
     // "stats_cache.*" registry metrics; private caches stay
     // unregistered so tests don't pollute the process snapshot.
-    static GraphStatsCache cache(GraphStatsCache::kDefaultCapacity,
-                                 "stats_cache");
+    static GraphStatsCache cache;
+    static telemetry::ScopedCounterSource source([] {
+        return telemetry::CounterReadings{
+            {"stats_cache.hits", cache.hits()},
+            {"stats_cache.misses", cache.misses()},
+            {"stats_cache.evictions", cache.evictions()},
+        };
+    });
     return cache;
 }
 

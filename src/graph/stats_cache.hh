@@ -31,16 +31,8 @@ class GraphStatsCache
     /** Default entry bound for the global cache. */
     static constexpr std::size_t kDefaultCapacity = 64;
 
-    /**
-     * @param capacity       Entry bound (LRU evicts beyond it).
-     * @param metrics_prefix When non-null, the hit/miss/eviction
-     *        counters are the shared registry counters
-     *        "<prefix>.hits" / ".misses" / ".evictions"; when null
-     *        (the default, used by private test caches) they are
-     *        cache-owned and unregistered (util/lru_memo.hh).
-     */
-    explicit GraphStatsCache(std::size_t capacity = kDefaultCapacity,
-                             const char *metrics_prefix = nullptr);
+    /** @param capacity Entry bound (LRU evicts beyond it). */
+    explicit GraphStatsCache(std::size_t capacity = kDefaultCapacity);
 
     /**
      * Memoized measureGraph: return the cached stats for @p graph's
@@ -91,7 +83,8 @@ class GraphStatsCache
 /**
  * The process-wide cache every online path shares: HeteroMap's
  * predict entry point, the training sweep's corpus measurement, the
- * dataset registry, and the streaming-chunk example.
+ * dataset registry, and the streaming-chunk example. Its counters
+ * are the registry's "stats_cache.hits" / ".misses" / ".evictions".
  */
 GraphStatsCache &globalStatsCache();
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Token-bucket admission implementation. One mutex guards the client
- * table, the lane bucket, and the counters — admission runs once per
+ * table, the lane bucket, and the counters (the registry reads them
+ * through a counter source at snapshot time) — admission runs once per
  * request on the event-loop thread, so the serialized section is a
  * handful of arithmetic ops, not a throughput concern next to the
  * syscall that delivered the frame.
@@ -17,14 +18,19 @@
 namespace heteromap {
 namespace net {
 
-const char *
-laneName(Lane lane)
-{
-    return lane == Lane::Priority ? "priority" : "normal";
-}
-
 NetAdmission::NetAdmission(AdmissionOptions options)
-    : options_(options)
+    : options_(options), metrics_([this] {
+          return telemetry::CounterReadings{
+              {"serve.net.accepted.normal", accepted(Lane::Normal)},
+              {"serve.net.accepted.priority", accepted(Lane::Priority)},
+              {"serve.net.quota_rejected.normal",
+               quotaRejected(Lane::Normal)},
+              {"serve.net.quota_rejected.priority",
+               quotaRejected(Lane::Priority)},
+              {"serve.net.shed.normal", laneShed(Lane::Normal)},
+              {"serve.net.shed.priority", laneShed(Lane::Priority)},
+          };
+      })
 {
     options_.clientRatePerSec = std::max(0.0, options_.clientRatePerSec);
     options_.clientBurst = std::max(1.0, options_.clientBurst);
@@ -33,20 +39,6 @@ NetAdmission::NetAdmission(AdmissionOptions options)
     normal_lane_.ratePerSec = options_.normalLaneRatePerSec;
     normal_lane_.burst = std::max(1.0, options_.normalLaneBurst);
     normal_lane_.tokens = normal_lane_.burst;
-
-    // Counter registration takes the registry mutex; do it once here
-    // so admit() only dereferences. The slots are per-instance —
-    // concurrent NetAdmissions must not share lazily-filled caches.
-    for (std::size_t ix = 0; ix < kNumLanes; ++ix) {
-        const char *lane = laneName(static_cast<Lane>(ix));
-        auto &registry = telemetry::registry();
-        accepted_counters_[ix] = &registry.counter(
-            std::string("serve.net.accepted.") + lane);
-        quota_rejected_counters_[ix] = &registry.counter(
-            std::string("serve.net.quota_rejected.") + lane);
-        lane_shed_counters_[ix] = &registry.counter(
-            std::string("serve.net.shed.") + lane);
-    }
 }
 
 void
@@ -120,17 +112,14 @@ NetAdmission::admit(uint64_t client_id, Lane lane, int64_t now_ns)
     Bucket &bucket = clientBucket(client_id, now_ns);
     if (!tryTake(bucket, now_ns)) {
         ++quota_rejected_[lane_ix];
-        quota_rejected_counters_[lane_ix]->add(1);
         return AdmissionDecision::QuotaRejected;
     }
     if (lane == Lane::Normal && normal_lane_.ratePerSec > 0.0 &&
         !tryTake(normal_lane_, now_ns)) {
         ++lane_shed_[lane_ix];
-        lane_shed_counters_[lane_ix]->add(1);
         return AdmissionDecision::LaneShed;
     }
     ++accepted_[lane_ix];
-    accepted_counters_[lane_ix]->add(1);
     return AdmissionDecision::Admitted;
 }
 

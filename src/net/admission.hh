@@ -33,10 +33,9 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "util/telemetry.hh"
+
 namespace heteromap {
-namespace telemetry {
-class Counter;
-}
 namespace net {
 
 /** Admission lanes (wire flag kFlagPriority selects Priority). */
@@ -45,9 +44,6 @@ enum class Lane : uint8_t {
     Priority = 1,
 };
 inline constexpr std::size_t kNumLanes = 2;
-
-/** @return "normal" / "priority". */
-const char *laneName(Lane lane);
 
 /** What the admission layer decided for one request. */
 enum class AdmissionDecision {
@@ -139,15 +135,8 @@ class NetAdmission
     uint64_t quota_rejected_[kNumLanes] = {0, 0};
     uint64_t lane_shed_[kNumLanes] = {0, 0};
 
-    /**
-     * Registry counters resolved once at construction, so the admit
-     * hot path pays a pointer load. Per-instance (not file-scope):
-     * two NetAdmissions in one process each hold their own mutex_,
-     * and shared lazily-filled slots would race.
-     */
-    telemetry::Counter *accepted_counters_[kNumLanes] = {};
-    telemetry::Counter *quota_rejected_counters_[kNumLanes] = {};
-    telemetry::Counter *lane_shed_counters_[kNumLanes] = {};
+    /** Reports the per-lane counts above to the metrics registry. */
+    telemetry::ScopedCounterSource metrics_;
 };
 
 } // namespace net

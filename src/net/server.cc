@@ -155,7 +155,17 @@ NetServer::NetServer(serve::ModelRegistry &models,
     : models_(models), options_(std::move(options)),
       router_(std::max<std::size_t>(1, options_.shards),
               options_.vnodes),
-      admission_(options_.admission)
+      admission_(options_.admission), metrics_([this] {
+          const ServerStats now = stats();
+          return telemetry::CounterReadings{
+              {"serve.net.connections_dropped", now.connectionsDropped},
+              {"serve.net.frames_received", now.framesReceived},
+              {"serve.net.frames_sent", now.framesSent},
+              {"serve.net.bad_frames", now.badFrames},
+              {"serve.net.slow_reader_disconnects",
+               now.slowReaderDisconnects},
+          };
+      })
 {
     options_.shards = std::max<std::size_t>(1, options_.shards);
 
@@ -164,8 +174,6 @@ NetServer::NetServer(serve::ModelRegistry &models,
         // The loop thread must never block inside submit — the shard
         // queues shed instead of applying backpressure.
         shard_options.admission = serve::AdmissionPolicy::Reject;
-        shard_options.statsMetricsPrefix =
-            "serve.shard" + std::to_string(shard) + ".stats_cache";
         services_.push_back(std::make_unique<serve::PredictionService>(
             models_, std::move(shard_options)));
         completions_.push_back(std::make_unique<CompletionQueue>());
@@ -402,7 +410,6 @@ NetServer::acceptReady()
         if (connections_.size() >= options_.maxConnections) {
             ::close(fd);
             connections_dropped_.fetch_add(1);
-            HM_COUNTER_INC("serve.net.connections_dropped");
             continue;
         }
         if (options_.endpoint.family == Endpoint::Family::Tcp)
@@ -460,7 +467,6 @@ NetServer::parseFrames(Connection &conn)
             // Framing is lost: nothing downstream of a bad header can
             // be trusted, so the connection goes away (recoverably).
             bad_frames_.fetch_add(1);
-            HM_COUNTER_INC("serve.net.bad_frames");
             warn("net: closing connection on bad frame: ",
                  header.error().message);
             return false;
@@ -512,7 +518,6 @@ NetServer::dispatchFrame(Connection &conn, const FrameHeader &header,
         // Server-to-client frames arriving at the server: a confused
         // peer. Count and drop the frame; framing is still intact.
         bad_frames_.fetch_add(1);
-        HM_COUNTER_INC("serve.net.bad_frames");
         return true;
     }
     return true; // decodeHeader rejected unknown types already
@@ -529,7 +534,6 @@ NetServer::handlePredict(Connection &conn, const FrameHeader &header,
         // Malformed payload under a well-formed header: framing is
         // intact, so answer the request and keep the connection.
         bad_frames_.fetch_add(1);
-        HM_COUNTER_INC("serve.net.bad_frames");
         respondNow(conn, header.requestId,
                    errorResponse(decoded.error().code,
                                  decoded.error().message));
@@ -657,7 +661,6 @@ NetServer::writeReady(Connection &conn)
         // A reader this slow pins server memory; cut it loose (the
         // buffered-but-undelivered frames are never counted as sent).
         slow_reader_disconnects_.fetch_add(1);
-        HM_COUNTER_INC("serve.net.slow_reader_disconnects");
         conn.dead = true;
         return;
     }

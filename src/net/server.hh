@@ -37,7 +37,9 @@
  * Telemetry: serve.net.accepted.* / .quota_rejected.* / .shed.*
  * lane counters (admission), serve.net.connections gauge,
  * serve.net.frames_received / .frames_sent / .bad_frames /
- * .slow_reader_disconnects counters, the serve.net.frame_bytes_received
+ * .slow_reader_disconnects / .connections_dropped counters (read
+ * from the server's own ServerStats counters at snapshot time), the
+ * serve.net.frame_bytes_received
  * counter (total bytes of complete received frames, headers
  * included), and the serve.net.wire_ms histogram (receive-to-encoded
  * on-wire service latency).
@@ -63,6 +65,7 @@
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "serve/prediction_service.hh"
+#include "util/telemetry.hh"
 
 namespace heteromap {
 namespace net {
@@ -80,10 +83,8 @@ struct ServerOptions {
 
     /**
      * Per-shard service template. The server forces admission to
-     * Reject (the loop must never block in submit) and gives each
-     * shard a distinct stats metrics prefix
-     * ("serve.shard<k>.stats_cache") so per-shard hit rates are
-     * individually observable (see ServiceOptions).
+     * Reject (the loop must never block in submit). Each shard
+     * reports its own stats-cache counters in its statusz block.
      */
     serve::ServiceOptions shard{};
 
@@ -253,6 +254,9 @@ class NetServer
     std::atomic<uint64_t> unknown_graph_{0};
     std::atomic<uint64_t> unknown_workload_{0};
     /** @} */
+
+    /** Reports the transport counters above to the metrics registry. */
+    telemetry::ScopedCounterSource metrics_;
 
     void loopThread();
     void harvesterThread(std::size_t shard_index);

@@ -19,7 +19,10 @@ namespace heteromap {
 namespace serve {
 
 ModelRegistry::ModelRegistry(AcceleratorPair pair, const Oracle &oracle)
-    : pair_(std::move(pair)), oracle_(oracle)
+    : pair_(std::move(pair)), oracle_(oracle), metrics_([this] {
+          return telemetry::CounterReadings{
+              {"serve.model_load_failures", loadFailures()}};
+      })
 {
 }
 
@@ -207,7 +210,6 @@ Error
 ModelRegistry::noteLoadFailure(Error error)
 {
     load_failures_.fetch_add(1, std::memory_order_relaxed);
-    HM_COUNTER_INC("serve.model_load_failures");
     return error;
 }
 

@@ -47,6 +47,7 @@
 #include "arch/fault_model.hh"
 #include "core/heteromap.hh"
 #include "util/errors.hh"
+#include "util/telemetry.hh"
 
 namespace heteromap {
 namespace serve {
@@ -162,6 +163,9 @@ class ModelRegistry
 
     mutable std::mutex chaos_mutex_;
     std::shared_ptr<ChaosPolicy> chaos_; //!< guarded by chaos_mutex_
+
+    /** Reports loadFailures() as "serve.model_load_failures". */
+    telemetry::ScopedCounterSource metrics_;
 
     /** Count + meter a failed load and pass @p error through. */
     Error noteLoadFailure(Error error);

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -72,6 +71,16 @@ normalized(ServiceOptions options)
     return options;
 }
 
+std::vector<std::unique_ptr<GraphStatsCache>>
+makeStatsShards(const ServiceOptions &options)
+{
+    std::vector<std::unique_ptr<GraphStatsCache>> shards;
+    for (std::size_t s = 0; s < options.statsShards; ++s)
+        shards.push_back(std::make_unique<GraphStatsCache>(
+            options.statsCapacityPerShard));
+    return shards;
+}
+
 } // namespace
 
 const char *
@@ -93,30 +102,34 @@ PredictionService::PredictionService(ModelRegistry &models,
                                      ServiceOptions options)
     : models_(models), options_(normalized(std::move(options))),
       queue_(options_.queueCapacity),
-      profiles_(options_.statsCapacityPerShard,
-                options_.statsMetricsPrefix.empty()
-                    ? nullptr
-                    : (options_.statsMetricsPrefix + ".profiles").c_str()),
-      drift_(options_.drift),
-      slo_(options_.slo), pool_(options_.workers)
+      stats_shards_(makeStatsShards(options_)),
+      profiles_(options_.statsCapacityPerShard), drift_(options_.drift),
+      slo_(options_.slo), metrics_([this] {
+          return telemetry::CounterReadings{
+              {"serve.submitted", submitted()},
+              {"serve.admitted", admitted()},
+              {"serve.completed", completed()},
+              {"serve.shed", shed()},
+              {"serve.errors", errorResponses()},
+              {"serve.fallback_served", fallbackServed()},
+              {"serve.worker.batch_failures", batchFailures()},
+              {"serve.worker.stalls", workerStalls()},
+              {"serve.worker.restarts", workerRestarts()},
+              {"serve.stats_cache.hits", statsHits()},
+              {"serve.stats_cache.misses", statsMisses()},
+              {"serve.stats_cache.evictions",
+               shardSum(&GraphStatsCache::evictions)},
+              {"serve.stats_cache.profiles.hits", profiles_.hits()},
+              {"serve.stats_cache.profiles.misses", profiles_.misses()},
+              {"serve.stats_cache.profiles.evictions",
+               profiles_.evictions()},
+          };
+      }),
+      pool_(options_.workers)
 {
     HM_ASSERT(models_.current() != nullptr,
               "PredictionService needs a registry with at least one "
               "published model");
-    stats_shards_.reserve(options_.statsShards);
-    for (std::size_t s = 0; s < options_.statsShards; ++s) {
-        // Every shard registers the service's prefix, so the
-        // "<prefix>.*" counters aggregate across shards (and the
-        // per-shard accessors read the same atomics). Co-resident
-        // services that keep the default prefix alias each other —
-        // multi-service hosts pass distinct prefixes (see
-        // ServiceOptions::statsMetricsPrefix).
-        stats_shards_.push_back(std::make_unique<GraphStatsCache>(
-            options_.statsCapacityPerShard,
-            options_.statsMetricsPrefix.empty()
-                ? nullptr
-                : options_.statsMetricsPrefix.c_str()));
-    }
 
     // The last-resort model: the paper's hand-built heuristic tree
     // needs no training, so it is always ready — and its measure
@@ -200,7 +213,6 @@ std::future<ServeResponse>
 PredictionService::submit(ServeRequest request)
 {
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    HM_COUNTER_INC("serve.submitted");
     HM_ASSERT(request.workload != nullptr && request.graph != nullptr,
               "a serve request needs a workload and a graph");
 
@@ -241,7 +253,6 @@ PredictionService::submit(ServeRequest request)
     switch (queue_.push(pending, options_.admission)) {
       case RequestQueue::PushResult::Admitted:
         admitted_.fetch_add(1, std::memory_order_relaxed);
-        HM_COUNTER_INC("serve.admitted");
         break;
       case RequestQueue::PushResult::Full:
         respondShed(pending, ShedReason::QueueFull);
@@ -265,7 +276,6 @@ void
 PredictionService::respondShed(PendingRequest &pending, ShedReason reason)
 {
     shed_.fetch_add(1, std::memory_order_relaxed);
-    HM_COUNTER_INC("serve.shed");
     if (reason == ShedReason::QueueFull)
         HM_COUNTER_INC("serve.shed.queue_full");
     else if (reason == ShedReason::DeadlineExpired)
@@ -283,7 +293,6 @@ PredictionService::failBatch(std::vector<PendingRequest> &batch,
                              const std::string &what)
 {
     batch_failures_.fetch_add(1, std::memory_order_relaxed);
-    HM_COUNTER_INC("serve.worker.batch_failures");
     noteFault();
 
     const int level = degradation_.load(std::memory_order_acquire);
@@ -291,7 +300,6 @@ PredictionService::failBatch(std::vector<PendingRequest> &batch,
         if (pending.responded)
             continue;
         errors_.fetch_add(1, std::memory_order_relaxed);
-        HM_COUNTER_INC("serve.errors");
         ServeResponse response;
         response.status = ServeStatus::Error;
         response.requestId = pending.id;
@@ -583,7 +591,6 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
                     response.servedByFallback = true;
                     fallback_served_.fetch_add(
                         1, std::memory_order_relaxed);
-                    HM_COUNTER_INC("serve.fallback_served");
                 }
             }
 
@@ -649,7 +656,6 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
             }
 
             completed_.fetch_add(1, std::memory_order_relaxed);
-            HM_COUNTER_INC("serve.completed");
             respond(member_pending, std::move(response));
         }
     }
@@ -721,7 +727,6 @@ PredictionService::watchdogLoop()
                     // pool (the crash freed a pool thread).
                     worker_restarts_.fetch_add(
                         1, std::memory_order_relaxed);
-                    HM_COUNTER_INC("serve.worker.restarts");
                     noteFault();
                     warn("serve: restarting dead worker ", slot);
                     health.alive.store(true,
@@ -737,7 +742,6 @@ PredictionService::watchdogLoop()
                           std::memory_order_acquire) > stuck_ns) {
                 worker_stalls_.fetch_add(1,
                                          std::memory_order_relaxed);
-                HM_COUNTER_INC("serve.worker.stalls");
                 noteFault();
                 warn("serve: worker ", slot,
                      " stalled mid-batch (no heartbeat)");
@@ -827,27 +831,12 @@ PredictionService::close()
 }
 
 uint64_t
-PredictionService::statsHits() const
+PredictionService::shardSum(
+    uint64_t (GraphStatsCache::*counter)() const) const
 {
-    // With a metrics prefix, the shards share the prefixed registry
-    // counters, so any one shard reads the aggregate; detached
-    // (empty-prefix) caches each own their counters and must sum.
-    if (!options_.statsMetricsPrefix.empty())
-        return stats_shards_.front()->hits();
     uint64_t total = 0;
     for (const auto &shard : stats_shards_)
-        total += shard->hits();
-    return total;
-}
-
-uint64_t
-PredictionService::statsMisses() const
-{
-    if (!options_.statsMetricsPrefix.empty())
-        return stats_shards_.front()->misses();
-    uint64_t total = 0;
-    for (const auto &shard : stats_shards_)
-        total += shard->misses();
+        total += (*shard.*counter)();
     return total;
 }
 
@@ -890,7 +879,6 @@ PredictionService::statusz() const
     status.fallbackServed = fallbackServed();
     status.statsHits = statsHits();
     status.statsMisses = statsMisses();
-    status.statsPrefix = options_.statsMetricsPrefix;
     status.flightArmed = forensics::flightRecorderArmed();
     status.flightAppended = forensics::auditRecordsAppended();
     status.flightDropped = forensics::auditRecordsDropped();
@@ -1050,12 +1038,7 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
     fleet.workerRestarts = fleet.fallbackServed = 0;
     fleet.postmortems = 0;
     fleet.statsHits = fleet.statsMisses = 0;
-    fleet.statsPrefix = "fleet";
 
-    // Stats-cache counters: one term per distinct shared prefix
-    // (those shards read the same registry atomics — their reported
-    // values are copies of one number), plus every detached shard.
-    std::map<std::string, std::pair<uint64_t, uint64_t>> by_prefix;
     for (const ServiceStatus &shard : shards) {
         fleet.queueDepth += shard.queueDepth;
         fleet.queueCapacity += shard.queueCapacity;
@@ -1070,18 +1053,8 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
         fleet.workerRestarts += shard.workerRestarts;
         fleet.fallbackServed += shard.fallbackServed;
         fleet.postmortems += shard.postmortems;
-
-        if (shard.statsPrefix.empty()) {
-            fleet.statsHits += shard.statsHits;
-            fleet.statsMisses += shard.statsMisses;
-        } else {
-            // Snapshot skew across shards of one prefix group is
-            // possible (statuses are taken one by one); take the
-            // max — the freshest read of the shared counter.
-            auto &entry = by_prefix[shard.statsPrefix];
-            entry.first = std::max(entry.first, shard.statsHits);
-            entry.second = std::max(entry.second, shard.statsMisses);
-        }
+        fleet.statsHits += shard.statsHits;
+        fleet.statsMisses += shard.statsMisses;
 
         fleet.modelEpoch = std::max(fleet.modelEpoch, shard.modelEpoch);
         fleet.degradationLevel =
@@ -1090,11 +1063,6 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
         if (shard.drift.psi > fleet.drift.psi)
             fleet.drift = shard.drift;
     }
-    for (const auto &[prefix, counts] : by_prefix) {
-        fleet.statsHits += counts.first;
-        fleet.statsMisses += counts.second;
-    }
-
     // SLO roll-up: worst shard per objective (matched by name), and
     // percentile upper bounds — a fleet-total percentile cannot be
     // recovered from per-shard percentiles, so report the bound and

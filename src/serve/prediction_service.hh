@@ -31,13 +31,10 @@
  * lane's Supervisor is rebuilt against the new model when a hot-swap
  * lands.
  *
- * Graph measurements go through per-service GraphStatsCache shards,
- * each constructed with the same metrics prefix so the shared
- * "serve.stats_cache.*" registry counters aggregate across shards —
- * private caches without a prefix would silently drop that
- * accounting (see graph/stats_cache.hh). The one ProfileCache per
- * service holds statsCapacityPerShard entries and registers its
- * counters under "<statsMetricsPrefix>.profiles".
+ * Graph measurements go through per-service GraphStatsCache shards;
+ * the one ProfileCache per service holds statsCapacityPerShard
+ * entries. Each cache owns its counters: a service counts only its
+ * own work.
  *
  * Fault tolerance: workers are supervised by a watchdog thread. An
  * exception during measure/featurize/infer fails only that batch's
@@ -61,7 +58,8 @@
  * .fallback_served / .degradation_steps / .worker.batch_failures /
  * .worker.stalls / .worker.restarts, serve.stats_cache.hits /
  * .misses / .evictions and serve.stats_cache.profiles.hits /
- * .misses / .evictions (both under statsMetricsPrefix); gauges
+ * .misses / .evictions (the ones its accessors also report come from
+ * one counter source, summed over services); gauges
  * serve.queue_depth, serve.degradation_level; histograms
  * serve.queue_wait_ms (one sample per served request: its queueMs),
  * serve.batch.measure_ms, serve.batch.featurize_ms,
@@ -86,6 +84,7 @@
 #include "serve/model_registry.hh"
 #include "serve/request_queue.hh"
 #include "serve/slo_tracker.hh"
+#include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 #include "workloads/profile_cache.hh"
 
@@ -155,21 +154,6 @@ struct ServiceOptions {
      */
     std::size_t statsCapacityPerShard = GraphStatsCache::kDefaultCapacity;
 
-    /**
-     * Telemetry prefix for this service's stats-cache counters. The
-     * default makes every service in the process mirror into the
-     * same "serve.stats_cache.*" registry counters — fine for one
-     * service, but N co-resident services (the net tier's shards)
-     * then all read the identical process aggregate, and summing
-     * them would N-times-count it. A multi-shard host gives each
-     * service a distinct prefix ("serve.shard3.stats_cache") so
-     * per-shard hit rates are real; aggregateStatusz() uses the
-     * prefix to know which numbers are safe to sum. Empty = private
-     * detached counters (no registry mirror). The profile cache's
-     * counters register under "<prefix>.profiles".
-     */
-    std::string statsMetricsPrefix = "serve.stats_cache";
-
     /** Supervised-lane tunables and fault scenario. */
     SupervisorOptions supervisor{};
     FaultInjector faults{};
@@ -234,14 +218,6 @@ struct ServiceStatus {
     uint64_t statsHits = 0;
     uint64_t statsMisses = 0;
 
-    /**
-     * The service's statsMetricsPrefix. Shard statuses that share a
-     * non-empty prefix are reading the *same* registry counters, so
-     * a fleet roll-up must count that group once, not per shard
-     * (see aggregateStatusz).
-     */
-    std::string statsPrefix;
-
     bool flightArmed = false;
     uint64_t flightAppended = 0;
     uint64_t flightDropped = 0;
@@ -264,12 +240,9 @@ std::string statuszJson(const ServiceStatus &status);
  * Roll @p shards up into one fleet-total ServiceStatus without
  * double-counting:
  *
- *  - request/fault counters, queue depth/capacity, and workers sum
- *    across shards (each shard owns those);
- *  - stats-cache counters sum once per distinct statsPrefix — N
- *    shards sharing "serve.stats_cache" all read the same process
- *    aggregate, so that group contributes one term, while shards
- *    with per-shard prefixes (or empty = detached) each contribute;
+ *  - request/fault counters, stats-cache counters, queue
+ *    depth/capacity, and workers sum across shards (each shard owns
+ *    those);
  *  - flight-recorder numbers are process-wide: taken once;
  *  - model epoch, ladder level, drift, and SLO report the *worst*
  *    shard (max epoch; max ladder; max PSI; per-objective min good
@@ -348,11 +321,11 @@ class PredictionService
     /** Current degradation-ladder rung. */
     DegradationLevel degradationLevel() const;
 
-    /** Aggregate stats-shard counters (mirrors serve.stats_cache.*). */
-    uint64_t statsHits() const;
-    uint64_t statsMisses() const;
+    /** Stats-cache counters, summed over this service's shards. */
+    uint64_t statsHits() const { return shardSum(&GraphStatsCache::hits); }
+    uint64_t statsMisses() const { return shardSum(&GraphStatsCache::misses); }
 
-    /** Profile-cache counters (mirror <prefix>.profiles.*). */
+    /** Profile-cache counters. */
     uint64_t profileHits() const { return profiles_.hits(); }
     uint64_t profileMisses() const { return profiles_.misses(); }
 
@@ -439,9 +412,17 @@ class PredictionService
     std::thread watchdog_;
     /** @} */
 
+    /**
+     * Reports the counters above to the metrics registry; declared
+     * after everything it reads, so it unregisters first.
+     */
+    telemetry::ScopedCounterSource metrics_;
+
     ThreadPool pool_; //!< last member: destroyed (joined) first
 
     GraphStatsCache &shardFor(const BatchKey &key);
+    /** @p counter summed over the stats shards. */
+    uint64_t shardSum(uint64_t (GraphStatsCache::*counter)() const) const;
     void workerLoop(std::size_t slot);
     /** Coalesce same-key requests into @p batch until @p popped + linger. */
     void gatherBatch(std::vector<PendingRequest> &batch,

@@ -9,12 +9,11 @@
  * id when the model is the flattened decision tree, model kind + raw
  * normalized-M scores otherwise), the chosen accelerator, per-stage
  * latencies, and the supervised outcome when one exists — into the
- * calling thread's fixed-capacity ring. The discipline is the same as
- * util/trace: per-thread rings behind a per-ring mutex only the
- * drainer contends, drop-oldest on overflow with exact drop
- * accounting (a process counter plus the "flight.dropped" registry
- * metric), retired threads' records preserved, everything leaked so
- * late-exiting threads stay safe.
+ * calling thread's fixed-capacity ring (util/thread_ring.hh, shared
+ * with the trace spans): drop-oldest on overflow with exact drop
+ * accounting (auditRecordsDropped(), and the "flight.dropped"
+ * registry counter), retired threads' records preserved, everything
+ * leaked so late-exiting threads stay safe.
  *
  * The recorder is disarmed by default: append() is a single relaxed
  * atomic load until armFlightRecorder() runs, so the serving hot path
@@ -23,9 +22,9 @@
  * which is what the postmortem artifacts the chaos soak asserts on
  * look like.
  *
- * In a HETEROMAP_TELEMETRY=OFF build every entry point is an inline
- * no-op (flightRecorderArmed() is a compile-time false, so guarded
- * call sites dead-strip the record construction too).
+ * In a HETEROMAP_TELEMETRY=OFF build every entry point but the dumps
+ * is an inline no-op (flightRecorderArmed() is a compile-time false,
+ * so guarded call sites dead-strip the record construction too).
  */
 
 #ifndef HETEROMAP_UTIL_FLIGHT_RECORDER_HH
@@ -117,9 +116,10 @@ std::string auditRecordToJson(const AuditRecord &record);
 #if HETEROMAP_TELEMETRY
 
 /**
- * Start recording. Clears any buffered records and zeroes the
- * appended/dropped accounting so post-arm numbers are exact; new
- * rings (and cleared ones) use @p ring_capacity.
+ * Start recording. Clears any buffered records and restarts the
+ * appended/dropped accounting so post-arm numbers are exact (the
+ * "flight.dropped" registry counter keeps counting); every ring
+ * holds @p ring_capacity records from now on.
  */
 void armFlightRecorder(std::size_t ring_capacity = kFlightRingCapacity);
 
@@ -143,16 +143,6 @@ uint64_t auditRecordsAppended();
 
 /** Records overwritten by ring overflow since the last arm. */
 uint64_t auditRecordsDropped();
-
-/**
- * Drain and write JSONL: a header object (type, @p reason, build
- * info, record/drop accounting), then one record object per line.
- */
-void dumpFlightRecorder(std::ostream &os, std::string_view reason);
-
-/** dumpFlightRecorder() into @p path; warn+false on IO error. */
-bool dumpFlightRecorderToFile(const std::string &path,
-                              std::string_view reason);
 
 #else // HETEROMAP_TELEMETRY=OFF: inline no-ops, armed() is constant
       // false so guarded call sites compile away entirely.
@@ -196,12 +186,19 @@ auditRecordsDropped()
     return 0;
 }
 
+#endif // HETEROMAP_TELEMETRY
+
+/**
+ * Drain and write JSONL: a header object (type, @p reason, build
+ * info, record/drop accounting), then one record object per line.
+ * An OFF build writes the header alone, with zero counts, so tooling
+ * pointed at it stays parseable.
+ */
 void dumpFlightRecorder(std::ostream &os, std::string_view reason);
 
+/** dumpFlightRecorder() into @p path; warn+false on IO error. */
 bool dumpFlightRecorderToFile(const std::string &path,
                               std::string_view reason);
-
-#endif // HETEROMAP_TELEMETRY
 
 } // namespace forensics
 } // namespace heteromap

@@ -10,7 +10,8 @@
  * and the first insert wins — callers guarantee the computation is
  * deterministic, so the loser's value is identical and dropped.
  * Values are copied out under the lock: keep them cheap to copy
- * (plain structs, or a shared_ptr to something larger).
+ * (plain structs, or a shared_ptr to something larger). The table
+ * owns its hit/miss/eviction counters.
  */
 
 #ifndef HETEROMAP_UTIL_LRU_MEMO_HH
@@ -20,7 +21,6 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -33,22 +33,8 @@ template <typename Key, typename Value, typename Hash>
 class BoundedLruMemo
 {
   public:
-    /**
-     * @param capacity       Entry bound (> 0); LRU evicts beyond it.
-     * @param metrics_prefix When non-null, the hit/miss/eviction
-     *        counters are the shared telemetry-registry counters
-     *        "<prefix>.hits" / ".misses" / ".evictions", so a
-     *        /metrics-style snapshot and the accessors below read
-     *        the *same* atomics. When null the counters are owned
-     *        by this table and unregistered.
-     */
-    explicit BoundedLruMemo(std::size_t capacity,
-                            const char *metrics_prefix = nullptr)
-        : capacity_(capacity),
-          hits_(counterFor(metrics_prefix, ".hits", ownedHits_)),
-          misses_(counterFor(metrics_prefix, ".misses", ownedMisses_)),
-          evictions_(counterFor(metrics_prefix, ".evictions",
-                                ownedEvictions_))
+    /** @param capacity Entry bound (> 0); LRU evicts beyond it. */
+    explicit BoundedLruMemo(std::size_t capacity) : capacity_(capacity)
     {
         HM_ASSERT(capacity > 0, "LRU memo needs a positive capacity");
     }
@@ -64,11 +50,11 @@ class BoundedLruMemo
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (auto found = index_.find(key); found != index_.end()) {
-                hits_->add(1);
+                hits_.add(1);
                 lru_.splice(lru_.begin(), lru_, found->second);
                 return found->second->second;
             }
-            misses_->add(1);
+            misses_.add(1);
         }
 
         Value value = compute();
@@ -84,7 +70,7 @@ class BoundedLruMemo
         while (lru_.size() > capacity_) {
             index_.erase(lru_.back().first);
             lru_.pop_back();
-            evictions_->add(1);
+            evictions_.add(1);
         }
         return value;
     }
@@ -119,33 +105,19 @@ class BoundedLruMemo
     }
 
     /** @name Counters (monotonic over the table's lifetime). @{ */
-    uint64_t hits() const { return hits_->value(); }
-    uint64_t misses() const { return misses_->value(); }
-    uint64_t evictions() const { return evictions_->value(); }
+    uint64_t hits() const { return hits_.value(); }
+    uint64_t misses() const { return misses_.value(); }
+    uint64_t evictions() const { return evictions_.value(); }
     /** @} */
 
   private:
     using LruList = std::list<std::pair<Key, Value>>;
 
-    static telemetry::Counter *
-    counterFor(const char *prefix, const char *suffix,
-               telemetry::Counter &owned)
-    {
-        return prefix != nullptr
-            ? &telemetry::registry().counter(std::string(prefix) + suffix)
-            : &owned;
-    }
-
     const std::size_t capacity_;
     mutable std::mutex mutex_;
     LruList lru_; //!< front = most recent
     std::unordered_map<Key, typename LruList::iterator, Hash> index_;
-
-    /** Backing store when no metrics prefix registers the counters. */
-    telemetry::Counter ownedHits_, ownedMisses_, ownedEvictions_;
-    telemetry::Counter *hits_;
-    telemetry::Counter *misses_;
-    telemetry::Counter *evictions_;
+    telemetry::Counter hits_, misses_, evictions_;
 };
 
 } // namespace heteromap

@@ -297,6 +297,12 @@ Counter &
 MetricsRegistry::counter(std::string_view name)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    return counterLocked(name);
+}
+
+Counter &
+MetricsRegistry::counterLocked(std::string_view name)
+{
     auto found = counters_.find(name);
     if (found == counters_.end()) {
         found = counters_
@@ -334,6 +340,29 @@ MetricsRegistry::histogram(std::string_view name)
     return *found->second;
 }
 
+uint64_t
+MetricsRegistry::addCounterSource(CounterSource source)
+{
+    if (!enabled())
+        return 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const uint64_t id = next_source_id_++;
+    sources_.emplace(id, std::move(source));
+    return id;
+}
+
+void
+MetricsRegistry::removeCounterSource(uint64_t id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto found = sources_.find(id);
+    if (found == sources_.end())
+        return;
+    for (const auto &[name, value] : found->second())
+        counterLocked(name).add(value);
+    sources_.erase(found);
+}
+
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
@@ -343,6 +372,10 @@ MetricsRegistry::snapshot() const
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &[name, counter] : counters_)
         snap.counters.emplace(name, counter->value());
+    for (const auto &[id, source] : sources_) {
+        for (const auto &[name, value] : source())
+            snap.counters[std::string(name)] += value;
+    }
     for (const auto &[name, gauge] : gauges_)
         snap.gauges.emplace(name, gauge->value());
     for (const auto &[name, histogram] : histograms_)

@@ -17,11 +17,15 @@
  * the looked-up metric in a function-local static, making the
  * steady-state cost a single atomic RMW.
  *
+ * A counter an object already keeps for its own accessors is not
+ * counted twice: the owner registers a counter source instead.
+ *
  * Build-time gate: configuring with -DHETEROMAP_TELEMETRY=OFF defines
- * HETEROMAP_TELEMETRY=0, which compiles every macro below to a no-op
- * and makes snapshot() return an empty snapshot. The metric *types*
- * stay fully functional in both builds so subsystems (e.g. the stats
- * cache) can keep exposing their legacy accessors through them.
+ * HETEROMAP_TELEMETRY=0, which compiles every macro below and every
+ * source registration to a no-op and makes snapshot() return an
+ * empty snapshot. The metric *types* stay fully functional in both
+ * builds so subsystems (e.g. the stats cache) can keep exposing
+ * their accessors through them.
  */
 
 #ifndef HETEROMAP_UTIL_TELEMETRY_HH
@@ -31,12 +35,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #ifndef HETEROMAP_TELEMETRY
 #define HETEROMAP_TELEMETRY 1
@@ -182,11 +189,26 @@ struct MetricsSnapshot {
     std::string toCsv() const;
 };
 
+/** Counter values a source reports: (registry name, value) pairs. */
+using CounterReadings = std::vector<std::pair<std::string_view, uint64_t>>;
+
+/**
+ * Reads an owner's counters at snapshot time. It runs under the
+ * registry lock, so it must not call back into the registry; its
+ * names must outlive the registration (string literals do).
+ */
+using CounterSource = std::function<CounterReadings()>;
+
 /**
  * The process-wide name -> metric map. Metric objects live for the
  * process lifetime (the registry is never destroyed), so references
  * returned by counter()/gauge()/histogram() stay valid in static
  * destructors and exiting worker threads.
+ *
+ * A counter's snapshot value is the registry's own value plus the
+ * readings of every live counter source under that name. When a
+ * source is removed its final readings fold into the registry's
+ * value, so a snapshot never falls when an owner goes away.
  */
 class MetricsRegistry
 {
@@ -200,14 +222,26 @@ class MetricsRegistry
     Histogram &histogram(std::string_view name);
 
     /**
-     * Copy out every registered metric. Returns an empty snapshot in
-     * a HETEROMAP_TELEMETRY=OFF build (metrics still function for
+     * Register @p source (a no-op returning 0 in OFF builds).
+     * @return the id removeCounterSource() takes.
+     */
+    uint64_t addCounterSource(CounterSource source);
+
+    /** Fold source @p id's final readings in, then forget it. */
+    void removeCounterSource(uint64_t id);
+
+    /**
+     * Copy out every registered metric, counters summed with their
+     * sources' readings. Returns an empty snapshot in a
+     * HETEROMAP_TELEMETRY=OFF build (metrics still function for
      * their owners, but the registry reports nothing).
      */
     MetricsSnapshot snapshot() const;
 
     /**
-     * Zero every registered value (registrations survive). Values
+     * Zero every value the registry owns, folded source readings
+     * included (registrations survive; live sources are untouched).
+     * Values
      * concurrently updated during reset land in the post-reset
      * epoch; intended for tests and report tooling, not hot paths.
      */
@@ -216,11 +250,16 @@ class MetricsRegistry
   private:
     MetricsRegistry() = default;
 
+    /** counter() with mutex_ held. */
+    Counter &counterLocked(std::string_view name);
+
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms_;
+    std::map<uint64_t, CounterSource> sources_; //!< by id
+    uint64_t next_source_id_ = 1;
 };
 
 /** Shorthand for MetricsRegistry::instance(). */
@@ -229,6 +268,34 @@ registry()
 {
     return MetricsRegistry::instance();
 }
+
+/**
+ * Keeps a counter source registered for its own lifetime. Declare it
+ * after every member its source reads, so it unregisters first.
+ * Compiles to nothing in HETEROMAP_TELEMETRY=OFF builds.
+ */
+class ScopedCounterSource
+{
+  public:
+    template <typename Source>
+    explicit ScopedCounterSource(Source &&source)
+    {
+        if constexpr (enabled())
+            id_ = registry().addCounterSource(std::forward<Source>(source));
+    }
+
+    ~ScopedCounterSource()
+    {
+        if constexpr (enabled())
+            registry().removeCounterSource(id_);
+    }
+
+    ScopedCounterSource(const ScopedCounterSource &) = delete;
+    ScopedCounterSource &operator=(const ScopedCounterSource &) = delete;
+
+  private:
+    uint64_t id_ = 0;
+};
 
 /**
  * Scan argv for "--telemetry-out <path>" (or --telemetry-out=<path>),

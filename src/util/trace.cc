@@ -1,20 +1,18 @@
 /**
  * @file
- * Trace-span buffers, Chrome trace_event export, and the minimal
+ * Trace-span rings, Chrome trace_event export, and the minimal
  * JSON parser/validator backing the exported-trace acceptance check.
  */
 
 #include "util/trace.hh"
 
 #include "util/build_info.hh"
+#include "util/thread_ring.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,134 +23,17 @@ namespace {
 
 std::atomic<bool> tracingFlag{true};
 
-/** One thread's span ring. The owning thread appends; drains lock. */
-struct ThreadBuffer {
-    std::mutex mutex;
-    std::vector<TraceEvent> events; //!< ring storage, capacity-bounded
-    std::size_t next = 0;           //!< overwrite cursor once full
-    bool wrapped = false;
-    uint32_t tid = 0;
+using SpanCollector =
+    ThreadRingCollector<TraceEvent, &TraceEvent::startNs>;
 
-    void
-    push(const TraceEvent &event)
-    {
-        bool dropped = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (events.size() < kTraceRingCapacity) {
-                events.push_back(event);
-            } else {
-                events[next] = event;
-                next = (next + 1) % kTraceRingCapacity;
-                wrapped = true;
-                dropped = true;
-            }
-        }
-        if (dropped)
-            HM_COUNTER_INC("trace.dropped");
-    }
-
-    /** Extract events oldest-first and reset the ring. Caller locks. */
-    std::vector<TraceEvent>
-    takeLocked()
-    {
-        std::vector<TraceEvent> out;
-        out.reserve(events.size());
-        if (wrapped) {
-            out.insert(out.end(), events.begin() + long(next),
-                       events.end());
-            out.insert(out.end(), events.begin(),
-                       events.begin() + long(next));
-        } else {
-            out = std::move(events);
-        }
-        events.clear();
-        next = 0;
-        wrapped = false;
-        return out;
-    }
-};
-
-/** Process-wide set of live thread buffers plus exited threads' events. */
-class Collector
+SpanCollector &
+spans()
 {
-  public:
-    static Collector &
-    instance()
-    {
-        // Leaked: threads (and their buffer destructors) may outlive
-        // main()'s statics.
-        static Collector *the = new Collector;
-        return *the;
-    }
-
-    ThreadBuffer *
-    adopt()
-    {
-        auto buffer = std::make_unique<ThreadBuffer>();
-        ThreadBuffer *raw = buffer.get();
-        std::lock_guard<std::mutex> lock(mutex_);
-        raw->tid = nextTid_++;
-        live_.push_back(std::move(buffer));
-        return raw;
-    }
-
-    void
-    retire(ThreadBuffer *buffer)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        {
-            std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-            auto events = buffer->takeLocked();
-            retired_.insert(retired_.end(), events.begin(), events.end());
-        }
-        auto it = std::find_if(
-            live_.begin(), live_.end(),
-            [buffer](const auto &owned) { return owned.get() == buffer; });
-        if (it != live_.end())
-            live_.erase(it);
-    }
-
-    std::vector<TraceEvent>
-    drain()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        std::vector<TraceEvent> out = std::move(retired_);
-        retired_.clear();
-        for (const auto &buffer : live_) {
-            std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-            auto events = buffer->takeLocked();
-            out.insert(out.end(), events.begin(), events.end());
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const TraceEvent &a, const TraceEvent &b) {
-                      return a.startNs < b.startNs;
-                  });
-        return out;
-    }
-
-  private:
-    Collector() = default;
-
-    std::mutex mutex_;
-    std::vector<std::unique_ptr<ThreadBuffer>> live_;
-    std::vector<TraceEvent> retired_;
-    uint32_t nextTid_ = 1;
-};
-
-/** Registers with the collector on first span, retires on thread exit. */
-struct ThreadBufferHandle {
-    ThreadBuffer *buffer;
-
-    ThreadBufferHandle() : buffer(Collector::instance().adopt()) {}
-    ~ThreadBufferHandle() { Collector::instance().retire(buffer); }
-};
-
-ThreadBuffer &
-localBuffer()
-{
-    thread_local ThreadBufferHandle handle;
-    return *handle.buffer;
+    // Leaked: threads (and their ring retirement) may outlive
+    // main()'s statics.
+    static SpanCollector *the =
+        new SpanCollector(kTraceRingCapacity, "trace.dropped");
+    return *the;
 }
 
 } // namespace
@@ -184,13 +65,13 @@ recordSpan(const char *name, uint64_t start_ns, uint64_t end_ns)
 {
     if (!tracingEnabled())
         return;
-    ThreadBuffer &buffer = localBuffer();
+    SpanCollector &collector = spans();
     TraceEvent event;
     event.name = name;
     event.startNs = start_ns;
     event.durNs = end_ns >= start_ns ? end_ns - start_ns : 0;
-    event.tid = buffer.tid;
-    buffer.push(event);
+    event.tid = collector.threadId();
+    collector.push(event);
 }
 
 std::vector<TraceEvent>
@@ -198,14 +79,14 @@ drainTrace()
 {
     if (!enabled())
         return {};
-    return Collector::instance().drain();
+    return spans().drain();
 }
 
 void
 clearTrace()
 {
     if (enabled())
-        Collector::instance().drain();
+        spans().drain();
 }
 
 std::string

@@ -12,9 +12,9 @@
  * land on their own tracks.
  *
  * Hot-path cost: two steady_clock reads plus one short critical
- * section on a thread-local mutex that only the draining thread ever
- * contends. Each thread's buffer is a fixed-capacity ring
- * (kTraceRingCapacity events); overflow overwrites the oldest events
+ * section on a per-thread ring mutex that only the draining thread
+ * ever contends (util/thread_ring.hh). Each thread's ring holds
+ * kTraceRingCapacity events; overflow overwrites the oldest events
  * and counts the drops in the "trace.dropped" counter rather than
  * allocating without bound.
  *

@@ -18,11 +18,7 @@ ProfileCache::KeyHash::operator()(const Key &key) const
     return static_cast<std::size_t>(mix64(h ^ address));
 }
 
-ProfileCache::ProfileCache(std::size_t capacity,
-                           const char *metrics_prefix)
-    : memo_(capacity, metrics_prefix)
-{
-}
+ProfileCache::ProfileCache(std::size_t capacity) : memo_(capacity) {}
 
 std::shared_ptr<const WorkloadProfile>
 ProfileCache::profile(const std::shared_ptr<const Workload> &workload,

@@ -38,14 +38,8 @@ namespace heteromap {
 class ProfileCache
 {
   public:
-    /**
-     * @param capacity       Entry bound (LRU evicts beyond it).
-     * @param metrics_prefix Registry prefix for the hit/miss/eviction
-     *        counters, or null for cache-owned counters
-     *        (util/lru_memo.hh).
-     */
-    explicit ProfileCache(std::size_t capacity,
-                          const char *metrics_prefix = nullptr);
+    /** @param capacity Entry bound (LRU evicts beyond it). */
+    explicit ProfileCache(std::size_t capacity);
 
     /**
      * The profile @p workload records on @p graph: cached, or

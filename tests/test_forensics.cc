@@ -436,6 +436,16 @@ TEST(ForensicsAuditJsonTest, RecordSerializesToValidJson)
 
 /* ----------------------- flight recorder ---------------------- */
 
+/** @p name's value in a registry snapshot (0 when absent). */
+uint64_t
+registryCounter(const std::string &name)
+{
+    const telemetry::MetricsSnapshot snap =
+        telemetry::registry().snapshot();
+    auto found = snap.counters.find(name);
+    return found == snap.counters.end() ? 0 : found->second;
+}
+
 TEST(ForensicsFlightRecorderTest, DisarmedAppendIsANoOp)
 {
     forensics::disarmFlightRecorder();
@@ -449,6 +459,8 @@ TEST(ForensicsFlightRecorderTest, DisarmedAppendIsANoOp)
 TEST(ForensicsFlightRecorderTest, DropOldestKeepsTheNewestRecords)
 {
     forensics::armFlightRecorder(8);
+    const uint64_t registry_dropped_before =
+        registryCounter("flight.dropped");
     for (uint64_t i = 0; i < 20; ++i) {
         forensics::AuditRecord record;
         record.requestId = i;
@@ -457,6 +469,8 @@ TEST(ForensicsFlightRecorderTest, DropOldestKeepsTheNewestRecords)
     }
     EXPECT_EQ(forensics::auditRecordsAppended(), 20u);
     EXPECT_EQ(forensics::auditRecordsDropped(), 12u);
+    EXPECT_EQ(registryCounter("flight.dropped") - registry_dropped_before,
+              12u);
     const std::vector<forensics::AuditRecord> drained =
         forensics::drainAuditRecords();
     ASSERT_EQ(drained.size(), 8u);

@@ -43,7 +43,6 @@
 #include "serve/retrying_client.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/telemetry.hh"
 #include "workloads/registry.hh"
 
 namespace heteromap {
@@ -533,11 +532,9 @@ TEST(NetSocket, EndpointParsing)
 // --- Statusz aggregation ---------------------------------------------
 
 serve::ServiceStatus
-shardStatus(const std::string &prefix, uint64_t completed,
-            uint64_t hits, uint64_t misses)
+shardStatus(uint64_t completed, uint64_t hits, uint64_t misses)
 {
     serve::ServiceStatus status;
-    status.statsPrefix = prefix;
     status.completed = completed;
     status.statsHits = hits;
     status.statsMisses = misses;
@@ -549,30 +546,35 @@ shardStatus(const std::string &prefix, uint64_t completed,
 
 TEST(NetStatusz, SharedPrefixCountsOnce)
 {
-    // Three shards all mirroring into "serve.stats_cache" read the
-    // same process aggregate — the fleet roll-up must not triple it.
+    // All shards report under the shared "serve.stats_cache" names,
+    // but each shard's status carries only its own counts: the fleet
+    // roll-up counts each shard once, so equal per-shard readings add
+    // up rather than collapsing into one.
     std::vector<serve::ServiceStatus> shards = {
-        shardStatus("serve.stats_cache", 10, 100, 20),
-        shardStatus("serve.stats_cache", 20, 100, 20),
-        shardStatus("serve.stats_cache", 30, 100, 20),
+        shardStatus(10, 100, 20),
+        shardStatus(20, 100, 20),
+        shardStatus(30, 100, 20),
     };
     const auto fleet = serve::aggregateStatusz(shards);
-    EXPECT_EQ(fleet.completed, 60u); // per-shard counters still sum
-    EXPECT_EQ(fleet.statsHits, 100u);
-    EXPECT_EQ(fleet.statsMisses, 20u);
+    EXPECT_EQ(fleet.completed, 60u);
+    EXPECT_EQ(fleet.statsHits, 300u);
+    EXPECT_EQ(fleet.statsMisses, 60u);
     EXPECT_EQ(fleet.workers, 6u);
     EXPECT_EQ(fleet.queueCapacity, 30u);
 }
 
 TEST(NetStatusz, DistinctPrefixesSum)
 {
+    // Every shard owns its request and stats-cache counters, so the
+    // fleet roll-up is a plain sum.
     std::vector<serve::ServiceStatus> shards = {
-        shardStatus("serve.shard0.stats_cache", 1, 40, 4),
-        shardStatus("serve.shard1.stats_cache", 2, 50, 5),
-        shardStatus("", 3, 60, 6), // detached: private counters
-        shardStatus("", 4, 70, 7),
+        shardStatus(1, 40, 4),
+        shardStatus(2, 50, 5),
+        shardStatus(3, 60, 6),
+        shardStatus(4, 70, 7),
     };
     const auto fleet = serve::aggregateStatusz(shards);
+    EXPECT_EQ(fleet.completed, 1u + 2u + 3u + 4u);
     EXPECT_EQ(fleet.statsHits, 40u + 50u + 60u + 70u);
     EXPECT_EQ(fleet.statsMisses, 4u + 5u + 6u + 7u);
 }
@@ -580,8 +582,8 @@ TEST(NetStatusz, DistinctPrefixesSum)
 TEST(NetStatusz, FleetJsonCarriesShardBreakdown)
 {
     std::vector<serve::ServiceStatus> shards = {
-        shardStatus("serve.shard0.stats_cache", 5, 1, 1),
-        shardStatus("serve.shard1.stats_cache", 6, 2, 2),
+        shardStatus(5, 1, 1),
+        shardStatus(6, 2, 2),
     };
     const std::string json = serve::fleetStatuszJson(shards);
     EXPECT_NE(json.find("\"type\":\"statusz\""), std::string::npos);
@@ -885,10 +887,6 @@ TEST_F(NetLoopback, RoutingKeepsPerShardCachesHot)
     options.shards = 3;
     options.shard.maxBatchDelayMs = 0.0;
     const Endpoint endpoint = startServer(options);
-    // The "serve.shardK.stats_cache" registry counters are
-    // process-global and earlier suites in this binary already fed
-    // them; zero everything so the deltas below are this test's.
-    telemetry::registry().reset();
 
     const char *graphs[] = {"mesh", "social", "road"};
     NetClient client(endpoint);

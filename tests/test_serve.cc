@@ -50,6 +50,16 @@ sharedGraph(Graph graph)
     return std::make_shared<const Graph>(std::move(graph));
 }
 
+/** @p name's value in a registry snapshot (0 when absent). */
+uint64_t
+registryCounter(const std::string &name)
+{
+    const telemetry::MetricsSnapshot snap =
+        telemetry::registry().snapshot();
+    auto found = snap.counters.find(name);
+    return found == snap.counters.end() ? 0 : found->second;
+}
+
 ServeRequest
 makeRequest(std::shared_ptr<const Workload> workload,
             std::shared_ptr<const Graph> graph, const char *input)
@@ -630,8 +640,7 @@ TEST_F(ServeServiceTest, BlockModeNeverDropsARequest)
 
 TEST_F(ServeServiceTest, RejectModeAccountsShedsExactly)
 {
-    const uint64_t counter_before =
-        telemetry::registry().counter("serve.shed").value();
+    const uint64_t counter_before = registryCounter("serve.shed");
 
     ServiceOptions options;
     options.workers = 1;
@@ -669,9 +678,7 @@ TEST_F(ServeServiceTest, RejectModeAccountsShedsExactly)
     // serve.shed accounts every shed request exactly (OFF builds
     // never record it; the service counters above hold in both).
     if (telemetry::enabled()) {
-        EXPECT_EQ(telemetry::registry().counter("serve.shed").value() -
-                      counter_before,
-                  shed);
+        EXPECT_EQ(registryCounter("serve.shed") - counter_before, shed);
     }
 }
 
@@ -680,7 +687,6 @@ TEST_F(ServeServiceTest, ExpiredDeadlineIsShedAtDequeue)
     ServiceOptions options;
     options.workers = 1;
     options.maxBatch = 1;
-    options.statsMetricsPrefix.clear(); // service-owned counters
     PredictionService service(registry_, options);
 
     // Four un-deadlined requests keep the single worker busy for
@@ -786,14 +792,8 @@ TEST_F(ServeServiceTest, SupervisedLaneAttachesTheOutcome)
 
 TEST_F(ServeServiceTest, StatsShardsAggregateIntoOneCounter)
 {
-    const uint64_t hits_before =
-        telemetry::registry()
-            .counter("serve.stats_cache.hits")
-            .value();
-    const uint64_t misses_before =
-        telemetry::registry()
-            .counter("serve.stats_cache.misses")
-            .value();
+    const uint64_t registry_hits_before =
+        registryCounter("serve.stats_cache.hits");
 
     ServiceOptions options;
     options.workers = 1;
@@ -809,15 +809,56 @@ TEST_F(ServeServiceTest, StatsShardsAggregateIntoOneCounter)
         service.submit(makeRequest(pagerank_, star_, "g")).get();
     service.close();
 
-    EXPECT_EQ(service.statsMisses() - misses_before, 2u);
-    EXPECT_EQ(service.statsHits() - hits_before, 6u);
-    // The accessors read the same shared registry counters the
-    // prefix wired up — the accounting a private, prefix-less cache
-    // would have dropped.
-    EXPECT_EQ(service.statsHits(),
-              telemetry::registry()
-                  .counter("serve.stats_cache.hits")
-                  .value());
+    EXPECT_EQ(service.statsMisses(), 2u);
+    EXPECT_EQ(service.statsHits(), 6u);
+    // The registry reports the same shard counters the accessors sum
+    // (OFF builds report nothing).
+    if (telemetry::enabled()) {
+        EXPECT_EQ(registryCounter("serve.stats_cache.hits") -
+                      registry_hits_before,
+                  service.statsHits());
+    }
+}
+
+TEST_F(ServeServiceTest, CoResidentServicesCountOnlyTheirOwnWork)
+{
+    const uint64_t registry_misses_before =
+        registryCounter("serve.stats_cache.misses");
+    {
+        // Default options: both services report to the same registry
+        // names, yet each one's accessors and statusz count only the
+        // work it served.
+        PredictionService a(registry_);
+        PredictionService b(registry_);
+        ASSERT_EQ(a.submit(makeRequest(pagerank_, mesh_, "g")).get().status,
+                  ServeStatus::Ok);
+        ASSERT_EQ(b.submit(makeRequest(pagerank_, star_, "g")).get().status,
+                  ServeStatus::Ok);
+        a.close();
+        b.close();
+
+        for (const PredictionService *service : {&a, &b}) {
+            EXPECT_EQ(service->statsMisses(), 1u);
+            EXPECT_EQ(service->profileMisses(), 1u);
+            EXPECT_EQ(service->completed(), 1u);
+            EXPECT_EQ(service->statusz().statsMisses, 1u);
+        }
+        const ServiceStatus fleet =
+            aggregateStatusz({a.statusz(), b.statusz()});
+        EXPECT_EQ(fleet.statsMisses, 2u);
+        EXPECT_EQ(fleet.completed, 2u);
+        if (telemetry::enabled()) {
+            EXPECT_EQ(registryCounter("serve.stats_cache.misses") -
+                          registry_misses_before,
+                      2u);
+        }
+    }
+    // Destroyed services fold their final counts into the registry.
+    if (telemetry::enabled()) {
+        EXPECT_EQ(registryCounter("serve.stats_cache.misses") -
+                      registry_misses_before,
+                  2u);
+    }
 }
 
 TEST_F(ServeServiceTest, CloseIsIdempotentAndRefusesLateWork)
@@ -1033,17 +1074,6 @@ sameDeployment(const Deployment &a, const Deployment &b)
 
 TEST_F(ServeServiceTest, CachedCasesAndServedDeploymentsMatchUncached)
 {
-    // The service's profile counters are registry-shared across
-    // services with the default prefix: measure deltas.
-    const uint64_t hits_before =
-        telemetry::registry()
-            .counter("serve.stats_cache.profiles.hits")
-            .value();
-    const uint64_t misses_before =
-        telemetry::registry()
-            .counter("serve.stats_cache.profiles.misses")
-            .value();
-
     ServiceOptions options;
     options.workers = 2;
     PredictionService service(registry_, options);
@@ -1085,8 +1115,8 @@ TEST_F(ServeServiceTest, CachedCasesAndServedDeploymentsMatchUncached)
     service.close();
     EXPECT_EQ(checked, 2 * 2 * allWorkloads().size());
     // The service executed each (workload, graph) once and then hit.
-    EXPECT_EQ(service.profileMisses() - misses_before, checked / 2);
-    EXPECT_EQ(service.profileHits() - hits_before, checked / 2);
+    EXPECT_EQ(service.profileMisses(), checked / 2);
+    EXPECT_EQ(service.profileHits(), checked / 2);
 }
 
 TEST_F(ServeServiceTest, CollidingWorkloadNamesNeverShareAProfile)
@@ -1122,7 +1152,6 @@ TEST_F(ServeServiceTest, CollidingWorkloadNamesNeverShareAProfile)
     options.workers = 1;
     options.maxBatch = 8;
     options.maxBatchDelayMs = 50.0;
-    options.statsMetricsPrefix.clear(); // service-owned counters
     PredictionService service(registry_, options);
     auto low_future = service.submit(makeRequest(low, mesh_, "g"));
     auto high_future = service.submit(makeRequest(high, mesh_, "g"));
@@ -1172,7 +1201,6 @@ TEST_F(ServeServiceTest, WeightTwinsNeverShareAProfile)
     options.workers = 1;
     options.maxBatch = 8;
     options.maxBatchDelayMs = 50.0;
-    options.statsMetricsPrefix.clear(); // service-owned counters
     PredictionService service(registry_, options);
     // One at a time: the second lookup must not hit the first's entry.
     EXPECT_TRUE(sameDeployment(
@@ -1263,7 +1291,6 @@ TEST_F(ServeServiceTest, ArrivalDuringTheHeadMeasurementJoinsItsBatch)
     ServiceOptions options;
     options.workers = 1;
     options.maxBatchDelayMs = cold / 2.0;
-    options.statsMetricsPrefix.clear(); // service-owned counters
     PredictionService service(registry_, options);
 
     // The idle worker pops the head at once and starts measuring; a

@@ -3,12 +3,14 @@
 # work-stealing pool and its per-call parallelFor completion
 # (util/thread_pool), the offline training sweep, the graph
 # measurement substrate (flat-frontier BFS + stats cache), the
-# telemetry layer (lock-free metrics + trace ring buffers), and the
-# serving subsystem (MPMC queue, batching workers, RCU model
-# hot-swap) together with its fault-tolerance layer (chaos
+# telemetry layer (lock-free metrics, counter sources read at
+# snapshot time, and the per-thread ring collector behind trace
+# spans and the flight recorder, with its own pushers-vs-drainer
+# test), and the serving subsystem (MPMC queue, batching workers,
+# RCU model hot-swap) together with its fault-tolerance layer (chaos
 # injection, watchdog restarts, retrying client, and the fixed-seed
-# chaos soak), the forensics layer (per-thread flight-recorder
-# rings, drift monitor, SLO tracker), the batched-inference
+# chaos soak), the forensics layer (flight-recorder rings, drift
+# monitor, SLO tracker), the batched-inference
 # equivalence suite (the thread_local MLP batch workspace must stay
 # private per worker), and the network serving tier (epoll loop +
 # harvester threads + outbox handoff, NetClient connections, the
