@@ -20,9 +20,6 @@ GraphStatsCache::Key
 GraphStatsCache::makeKey(const Graph &graph,
                          const MeasureOptions &options)
 {
-    // threads and statsBlock are deliberately NOT part of the key:
-    // the determinism contract makes every thread count and blocking
-    // factor produce identical stats.
     return {graph.fingerprint(), options.sweeps, options.seed};
 }
 

@@ -28,6 +28,30 @@ namespace heteromap {
 class GraphStatsCache
 {
   public:
+    /**
+     * Full key: structure plus measurement parameters. Two requests
+     * with equal keys measure to identical stats, so the serving
+     * batcher coalesces on it too (serve::BatchKey).
+     */
+    struct Key {
+        GraphFingerprint fingerprint;
+        unsigned sweeps = 0;
+        uint64_t seed = 0;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash {
+        std::size_t operator()(const Key &key) const;
+    };
+
+    /**
+     * Key @p graph under @p options. threads and statsBlock are not
+     * part of it: every thread count and blocking factor measures
+     * identical stats.
+     */
+    static Key makeKey(const Graph &graph, const MeasureOptions &options);
+
     /** Default entry bound for the global cache. */
     static constexpr std::size_t kDefaultCapacity = 64;
 
@@ -62,22 +86,7 @@ class GraphStatsCache
     /** @} */
 
   private:
-    /** Full key: structure plus measurement parameters. */
-    struct Key {
-        GraphFingerprint fingerprint;
-        unsigned sweeps = 0;
-        uint64_t seed = 0;
-
-        bool operator==(const Key &) const = default;
-    };
-
-    struct KeyHash {
-        std::size_t operator()(const Key &key) const;
-    };
-
     BoundedLruMemo<Key, GraphStats, KeyHash> memo_;
-
-    static Key makeKey(const Graph &graph, const MeasureOptions &options);
 };
 
 /**

@@ -14,7 +14,11 @@ namespace heteromap {
 namespace net {
 
 NetClient::NetClient(Endpoint endpoint, NetClientOptions options)
-    : endpoint_(std::move(endpoint)), options_(options)
+    : endpoint_(std::move(endpoint)), options_(options), metrics_([this] {
+          return telemetry::CounterReadings{
+              {"client.transport_errors", transportErrors()},
+          };
+      })
 {
 }
 
@@ -87,7 +91,6 @@ serve::ServeResponse
 NetClient::transportError(const std::string &what)
 {
     transport_errors_.fetch_add(1);
-    HM_COUNTER_INC("client.transport_errors");
     serve::ServeResponse response;
     response.status = serve::ServeStatus::Error;
     response.error =
@@ -99,7 +102,6 @@ serve::ServeResponse
 NetClient::protocolError(const std::string &what)
 {
     transport_errors_.fetch_add(1);
-    HM_COUNTER_INC("client.transport_errors");
     serve::ServeResponse response;
     response.status = serve::ServeStatus::Error;
     response.error = serve::ServeError{ErrorCode::Parse, what};

@@ -35,6 +35,7 @@
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "serve/retrying_client.hh"
+#include "util/telemetry.hh"
 
 namespace heteromap {
 namespace net {
@@ -119,6 +120,9 @@ class NetClient : public serve::ServeBackend
     bool ever_connected_ = false;
     uint64_t next_request_id_ = 1;
     std::atomic<uint64_t> transport_errors_{0};
+
+    /** Reports transport_errors_ as "client.transport_errors". */
+    telemetry::ScopedCounterSource metrics_;
 };
 
 } // namespace net

@@ -56,6 +56,10 @@ sleepMillis(double ms)
             std::chrono::duration<double, std::milli>(ms));
 }
 
+/** Entry bounds of each service's stats and profile caches. */
+constexpr std::size_t kStatsCapacity = 128;
+constexpr std::size_t kProfileCapacity = 64;
+
 /** Clamp the zero-means-default knobs to sane minima. */
 ServiceOptions
 normalized(ServiceOptions options)
@@ -64,21 +68,8 @@ normalized(ServiceOptions options)
     options.queueCapacity =
         std::max<std::size_t>(1, options.queueCapacity);
     options.maxBatch = std::max<std::size_t>(1, options.maxBatch);
-    options.statsShards = std::max<std::size_t>(1, options.statsShards);
-    options.statsCapacityPerShard =
-        std::max<std::size_t>(1, options.statsCapacityPerShard);
     options.watchdog.pollMs = std::max(0.5, options.watchdog.pollMs);
     return options;
-}
-
-std::vector<std::unique_ptr<GraphStatsCache>>
-makeStatsShards(const ServiceOptions &options)
-{
-    std::vector<std::unique_ptr<GraphStatsCache>> shards;
-    for (std::size_t s = 0; s < options.statsShards; ++s)
-        shards.push_back(std::make_unique<GraphStatsCache>(
-            options.statsCapacityPerShard));
-    return shards;
 }
 
 } // namespace
@@ -102,8 +93,8 @@ PredictionService::PredictionService(ModelRegistry &models,
                                      ServiceOptions options)
     : models_(models), options_(normalized(std::move(options))),
       queue_(options_.queueCapacity),
-      stats_shards_(makeStatsShards(options_)),
-      profiles_(options_.statsCapacityPerShard), drift_(options_.drift),
+      stats_(kStatsCapacity), profiles_(kProfileCapacity),
+      drift_(options_.drift),
       slo_(options_.slo), metrics_([this] {
           return telemetry::CounterReadings{
               {"serve.submitted", submitted()},
@@ -117,8 +108,7 @@ PredictionService::PredictionService(ModelRegistry &models,
               {"serve.worker.restarts", workerRestarts()},
               {"serve.stats_cache.hits", statsHits()},
               {"serve.stats_cache.misses", statsMisses()},
-              {"serve.stats_cache.evictions",
-               shardSum(&GraphStatsCache::evictions)},
+              {"serve.stats_cache.evictions", stats_.evictions()},
               {"serve.stats_cache.profiles.hits", profiles_.hits()},
               {"serve.stats_cache.profiles.misses", profiles_.misses()},
               {"serve.stats_cache.profiles.evictions",
@@ -133,7 +123,7 @@ PredictionService::PredictionService(ModelRegistry &models,
 
     // The last-resort model: the paper's hand-built heuristic tree
     // needs no training, so it is always ready — and its measure
-    // path rides the same warm stats shards as the real model.
+    // path rides the same warm stats cache as the real model.
     fallback_ = std::make_unique<HeteroMap>(
         models_.pair(), makePredictor(PredictorKind::DecisionTree),
         models_.oracle());
@@ -162,12 +152,6 @@ PredictionService::~PredictionService()
         warn("prediction service worker failed during shutdown: ",
              e.what());
     }
-}
-
-GraphStatsCache &
-PredictionService::shardFor(const BatchKey &key)
-{
-    return *stats_shards_[hashBatchKey(key) % stats_shards_.size()];
 }
 
 DegradationLevel
@@ -311,16 +295,6 @@ PredictionService::failBatch(std::vector<PendingRequest> &batch,
 }
 
 void
-PredictionService::noteResponded(std::size_t count)
-{
-    responded_.fetch_add(count, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-    }
-    drain_cv_.notify_all();
-}
-
-void
 PredictionService::workerLoop(std::size_t slot)
 {
     WorkerHealth &health = *health_[slot];
@@ -341,7 +315,6 @@ PredictionService::workerLoop(std::size_t slot)
         // spending the measurement on it.
         if (batch.front().hasDeadline && popped > batch.front().deadline) {
             respondShed(batch.front(), ShedReason::DeadlineExpired);
-            noteResponded(1);
             continue;
         }
 
@@ -357,8 +330,8 @@ PredictionService::workerLoop(std::size_t slot)
             const GraphStats stats = [&] {
                 HM_SPAN("serve.measure");
                 const PendingRequest &head = batch.front();
-                return shardFor(head.key).measure(*head.request.graph,
-                                                  head.request.measure);
+                return stats_.measure(*head.request.graph,
+                                      head.request.measure);
             }();
             const double measure_ms =
                 millisBetween(popped, SteadyClock::now());
@@ -394,7 +367,6 @@ PredictionService::workerLoop(std::size_t slot)
         } catch (...) {
             failBatch(batch, "unknown worker exception");
         }
-        noteResponded(batch.size());
 
         if (lethal) {
             // Simulated hard crash: this loop task exits; the
@@ -790,16 +762,6 @@ PredictionService::stopWatchdog()
 }
 
 void
-PredictionService::drain()
-{
-    const uint64_t target = admitted_.load(std::memory_order_acquire);
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [&] {
-        return responded_.load(std::memory_order_acquire) >= target;
-    });
-}
-
-void
 PredictionService::close()
 {
     std::lock_guard<std::mutex> lock(close_mutex_);
@@ -822,22 +784,11 @@ PredictionService::close()
         response.status = ServeStatus::Closed;
         response.requestId = leftover.id;
         respond(leftover, std::move(response));
-        noteResponded(1);
     }
     // Close a final SLO window so short-lived services (tests, CLI
     // runs) report the tail of their traffic too.
     if (telemetry::enabled())
         slo_.maybeHarvest(true);
-}
-
-uint64_t
-PredictionService::shardSum(
-    uint64_t (GraphStatsCache::*counter)() const) const
-{
-    uint64_t total = 0;
-    for (const auto &shard : stats_shards_)
-        total += (*shard.*counter)();
-    return total;
 }
 
 void
@@ -899,61 +850,6 @@ fmtDouble(double value)
 }
 
 } // namespace
-
-std::string
-statuszText(const ServiceStatus &status)
-{
-    std::ostringstream os;
-    os << telemetry::buildInfoLine() << "\n";
-    os << "model: epoch=" << status.modelEpoch << " predictor="
-       << status.predictorName
-       << " baseline=" << (status.hasBaseline ? "yes" : "no") << "\n";
-    os << "ladder: level=" << status.degradationLevel << " ("
-       << degradationLevelName(static_cast<DegradationLevel>(
-              status.degradationLevel))
-       << ")\n";
-    os << "queue: depth=" << status.queueDepth << "/"
-       << status.queueCapacity << " workers=" << status.workers
-       << "\n";
-    os << "requests: submitted=" << status.submitted
-       << " admitted=" << status.admitted
-       << " completed=" << status.completed << " shed=" << status.shed
-       << " errors=" << status.errors << "\n";
-    os << "faults: batch_failures=" << status.batchFailures
-       << " stalls=" << status.workerStalls
-       << " restarts=" << status.workerRestarts
-       << " fallback_served=" << status.fallbackServed << "\n";
-    os << "stats_cache: hits=" << status.statsHits
-       << " misses=" << status.statsMisses << "\n";
-    os << "flight: armed=" << (status.flightArmed ? "yes" : "no")
-       << " appended=" << status.flightAppended
-       << " dropped=" << status.flightDropped
-       << " postmortems=" << status.postmortems << "\n";
-    os << "drift: baseline=" << (status.drift.hasBaseline ? "yes" : "no")
-       << " psi=" << fmtDouble(status.drift.psi)
-       << " ks=" << fmtDouble(status.drift.ks)
-       << " worst_dim=" << status.drift.worstDim
-       << " mispredict_rate="
-       << fmtDouble(status.drift.mispredictRate)
-       << " windows=" << status.drift.windows
-       << " alerts=" << status.drift.alerts << "\n";
-    os << "slo: windows=" << status.slo.windows
-       << " requests=" << status.slo.requests
-       << " p50_ms=" << fmtDouble(status.slo.p50Ms)
-       << " p95_ms=" << fmtDouble(status.slo.p95Ms)
-       << " p99_ms=" << fmtDouble(status.slo.p99Ms) << "\n";
-    for (const SloStatus::Objective &objective :
-         status.slo.objectives) {
-        os << "slo." << objective.name << ": threshold_ms="
-           << fmtDouble(objective.thresholdMs)
-           << " target=" << fmtDouble(objective.target)
-           << " good=" << fmtDouble(objective.goodFraction)
-           << " burn=" << fmtDouble(objective.burnRate)
-           << " budget=" << fmtDouble(objective.budgetRemaining)
-           << " breaches=" << objective.breaches << "\n";
-    }
-    return os.str();
-}
 
 std::string
 statuszJson(const ServiceStatus &status)
@@ -1099,19 +995,6 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
         }
     }
     return fleet;
-}
-
-std::string
-fleetStatuszText(const std::vector<ServiceStatus> &shards)
-{
-    std::ostringstream os;
-    os << "fleet: shards=" << shards.size() << "\n";
-    os << statuszText(aggregateStatusz(shards));
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        os << "\n--- shard " << s << " ---\n";
-        os << statuszText(shards[s]);
-    }
-    return os.str();
 }
 
 std::string

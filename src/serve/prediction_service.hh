@@ -31,10 +31,9 @@
  * lane's Supervisor is rebuilt against the new model when a hot-swap
  * lands.
  *
- * Graph measurements go through per-service GraphStatsCache shards;
- * the one ProfileCache per service holds statsCapacityPerShard
- * entries. Each cache owns its counters: a service counts only its
- * own work.
+ * Each service owns one GraphStatsCache (128 entries) and one
+ * ProfileCache (64 entries). Each cache owns its counters: a service
+ * counts only its own work.
  *
  * Fault tolerance: workers are supervised by a watchdog thread. An
  * exception during measure/featurize/infer fails only that batch's
@@ -145,15 +144,6 @@ struct ServiceOptions {
      */
     double maxBatchDelayMs = 0.2;
 
-    /** GraphStatsCache shards (>= 1); keyed by graph fingerprint. */
-    std::size_t statsShards = 2;
-
-    /**
-     * Entry bound per stats shard; also the bound of the service's
-     * one ProfileCache.
-     */
-    std::size_t statsCapacityPerShard = GraphStatsCache::kDefaultCapacity;
-
     /** Supervised-lane tunables and fault scenario. */
     SupervisorOptions supervisor{};
     FaultInjector faults{};
@@ -227,9 +217,6 @@ struct ServiceStatus {
     SloStatus slo;
 };
 
-/** Human-readable multi-line rendering of @p status. */
-std::string statuszText(const ServiceStatus &status);
-
 /**
  * One build-info-stamped JSON object ({"type":"statusz",...}) —
  * the document tools/hm_statusz validates and renders.
@@ -252,9 +239,6 @@ std::string statuszJson(const ServiceStatus &status);
  * Empty input yields a default ServiceStatus.
  */
 ServiceStatus aggregateStatusz(const std::vector<ServiceStatus> &shards);
-
-/** Fleet rendering: the aggregate, then one block per shard. */
-std::string fleetStatuszText(const std::vector<ServiceStatus> &shards);
 
 /**
  * One JSON document ({"type":"statusz","fleet":{...},"shards":[...]})
@@ -289,12 +273,6 @@ class PredictionService
     std::future<ServeResponse> submit(ServeRequest request);
 
     /**
-     * Wait until every request admitted before this call has been
-     * responded to (the queue may still accept new work).
-     */
-    void drain();
-
-    /**
      * Stop admitting, serve everything already queued, and join the
      * workers. Idempotent; rethrows the first worker exception.
      */
@@ -321,9 +299,9 @@ class PredictionService
     /** Current degradation-ladder rung. */
     DegradationLevel degradationLevel() const;
 
-    /** Stats-cache counters, summed over this service's shards. */
-    uint64_t statsHits() const { return shardSum(&GraphStatsCache::hits); }
-    uint64_t statsMisses() const { return shardSum(&GraphStatsCache::misses); }
+    /** Stats-cache counters. */
+    uint64_t statsHits() const { return stats_.hits(); }
+    uint64_t statsMisses() const { return stats_.misses(); }
 
     /** Profile-cache counters. */
     uint64_t profileHits() const { return profiles_.hits(); }
@@ -338,7 +316,7 @@ class PredictionService
     /** Automatic postmortem dumps triggered so far. */
     uint64_t postmortems() const { return postmortems_.load(); }
 
-    /** Live snapshot for statuszText()/statuszJson(). */
+    /** Live snapshot for statuszJson(). */
     ServiceStatus statusz() const;
 
   private:
@@ -365,7 +343,6 @@ class PredictionService
     std::atomic<uint64_t> completed_{0};
     std::atomic<uint64_t> shed_{0};
     std::atomic<uint64_t> errors_{0};
-    std::atomic<uint64_t> responded_{0}; //!< admitted, now answered
     std::atomic<bool> closed_{false};
 
     std::atomic<uint64_t> batch_failures_{0};
@@ -379,10 +356,8 @@ class PredictionService
     std::atomic<int64_t> last_recover_ns_{0};
     /** @} */
 
-    std::mutex drain_mutex_;
-    std::condition_variable drain_cv_;
-
-    std::vector<std::unique_ptr<GraphStatsCache>> stats_shards_;
+    /** Measured GraphStats per BatchKey, shared by the workers. */
+    GraphStatsCache stats_;
 
     /** Executed profiles per (workload, graph), for featurize. */
     ProfileCache profiles_;
@@ -420,9 +395,6 @@ class PredictionService
 
     ThreadPool pool_; //!< last member: destroyed (joined) first
 
-    GraphStatsCache &shardFor(const BatchKey &key);
-    /** @p counter summed over the stats shards. */
-    uint64_t shardSum(uint64_t (GraphStatsCache::*counter)() const) const;
     void workerLoop(std::size_t slot);
     /** Coalesce same-key requests into @p batch until @p popped + linger. */
     void gatherBatch(std::vector<PendingRequest> &batch,
@@ -435,7 +407,6 @@ class PredictionService
         const BenchmarkCase &bench, ServeResponse &response);
     void respond(PendingRequest &pending, ServeResponse response);
     void respondShed(PendingRequest &pending, ShedReason reason);
-    void noteResponded(std::size_t count);
 
     /** Fail every not-yet-responded promise in @p batch. */
     void failBatch(std::vector<PendingRequest> &batch,

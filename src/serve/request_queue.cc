@@ -5,7 +5,6 @@
 
 #include "serve/request_queue.hh"
 
-#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -23,15 +22,7 @@ makeBatchKey(const ServeRequest &request)
 {
     HM_ASSERT(request.graph != nullptr,
               "a serve request needs a graph");
-    return {request.graph->fingerprint(), request.measure.sweeps,
-            request.measure.seed};
-}
-
-uint64_t
-hashBatchKey(const BatchKey &key)
-{
-    const uint64_t h = mix64(mixFingerprint(key.fingerprint) ^ key.sweeps);
-    return mix64(h ^ key.seed);
+    return GraphStatsCache::makeKey(*request.graph, request.measure);
 }
 
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity)

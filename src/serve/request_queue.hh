@@ -151,24 +151,15 @@ struct ServeResponse {
 };
 
 /**
- * Coalescing key: requests agreeing on it can share one GraphStats
- * measurement (the dominant online cost). Structure-based, like the
- * stats cache key — two distinct Graph objects holding the same CSR
+ * Coalescing key: the stats cache's own key, so requests agreeing on
+ * it share one GraphStats measurement (the dominant online cost).
+ * Structure-based — two distinct Graph objects holding the same CSR
  * batch together.
  */
-struct BatchKey {
-    GraphFingerprint fingerprint;
-    unsigned sweeps = 0;
-    uint64_t seed = 0;
-
-    bool operator==(const BatchKey &) const = default;
-};
+using BatchKey = GraphStatsCache::Key;
 
 /** Key @p request for coalescing (reads the graph's fingerprint). */
 BatchKey makeBatchKey(const ServeRequest &request);
-
-/** 64-bit mix of a BatchKey, for shard selection and hashing. */
-uint64_t hashBatchKey(const BatchKey &key);
 
 /** A request admitted into the queue, with its response promise. */
 struct PendingRequest {

@@ -32,9 +32,6 @@ struct BuildInfo {
 /** The process build info (same object every call). */
 const BuildInfo &buildInfo();
 
-/** One-line human-readable stamp for text headers. */
-std::string buildInfoLine();
-
 /** {"git":...,"compiler":...,...} for embedding in JSON documents. */
 std::string buildInfoJson();
 

@@ -724,22 +724,22 @@ TEST_F(ServeServiceTest, HotSwapLandsMidTrafficWithoutDrops)
         futures.push_back(
             service.submit(makeRequest(pagerank_, mesh_, "g")));
 
-    // Swap while traffic is in flight, then prove the new epoch is
-    // what later requests observe.
+    // Swap while traffic is in flight; every in-flight request is
+    // answered by one epoch or the other...
     registry_.publish(PredictorKind::DecisionTree,
                       makePredictor(PredictorKind::DecisionTree));
-    service.drain();
-    ServeResponse after =
-        service.submit(makeRequest(pagerank_, star_, "g")).get();
-    EXPECT_EQ(after.status, ServeStatus::Ok);
-    EXPECT_EQ(after.modelEpoch, 2u);
-
     for (auto &future : futures) {
         ServeResponse response = future.get();
         EXPECT_EQ(response.status, ServeStatus::Ok);
         EXPECT_GE(response.modelEpoch, 1u);
         EXPECT_LE(response.modelEpoch, 2u);
     }
+
+    // ...and later requests observe the new epoch.
+    ServeResponse after =
+        service.submit(makeRequest(pagerank_, star_, "g")).get();
+    EXPECT_EQ(after.status, ServeStatus::Ok);
+    EXPECT_EQ(after.modelEpoch, 2u);
     service.close();
     EXPECT_EQ(service.shed(), 0u);
     EXPECT_EQ(service.completed(), 7u);
@@ -798,11 +798,9 @@ TEST_F(ServeServiceTest, StatsShardsAggregateIntoOneCounter)
     ServiceOptions options;
     options.workers = 1;
     options.maxBatch = 1; // one measurement per request
-    options.statsShards = 2;
     PredictionService service(registry_, options);
 
-    // Two distinct graphs -> two cold misses; every repeat is a hit,
-    // whichever shard the fingerprint lands on.
+    // Two distinct graphs -> two cold misses; every repeat is a hit.
     for (int i = 0; i < 6; ++i)
         service.submit(makeRequest(pagerank_, mesh_, "g")).get();
     for (int i = 0; i < 2; ++i)
@@ -811,12 +809,61 @@ TEST_F(ServeServiceTest, StatsShardsAggregateIntoOneCounter)
 
     EXPECT_EQ(service.statsMisses(), 2u);
     EXPECT_EQ(service.statsHits(), 6u);
-    // The registry reports the same shard counters the accessors sum
+    // The registry reports the same counters the accessors read
     // (OFF builds report nothing).
     if (telemetry::enabled()) {
         EXPECT_EQ(registryCounter("serve.stats_cache.hits") -
                       registry_hits_before,
                   service.statsHits());
+    }
+}
+
+TEST_F(ServeServiceTest, StatsCacheHoldsItsWholeBound)
+{
+    const uint64_t evictions_before =
+        registryCounter("serve.stats_cache.evictions");
+    auto evictions = [&] {
+        return registryCounter("serve.stats_cache.evictions") -
+               evictions_before;
+    };
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatch = 1; // one stats lookup per request
+    PredictionService service(registry_, options);
+
+    // 129 structurally distinct paths; the first 128 fill the
+    // service's stats cache exactly.
+    std::vector<std::shared_ptr<const Graph>> paths;
+    for (VertexId n = 4; n < 4 + 129; ++n)
+        paths.push_back(sharedGraph(generatePath(n)));
+    auto serve = [&](std::size_t i) {
+        EXPECT_EQ(service.submit(makeRequest(bfs_, paths[i], "path"))
+                      .get()
+                      .status,
+                  ServeStatus::Ok);
+    };
+
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < 128; ++i)
+            serve(i);
+    }
+    EXPECT_EQ(service.statsMisses(), 128u);
+    EXPECT_EQ(service.statsHits(), 128u);
+    if (telemetry::enabled()) {
+        EXPECT_EQ(evictions(), 0u);
+    }
+
+    // The 129th graph evicts exactly the least recent entry: every
+    // other graph still hits.
+    serve(128);
+    for (std::size_t i = 1; i < paths.size(); ++i)
+        serve(i);
+    service.close();
+    EXPECT_EQ(service.statsMisses(), 129u);
+    EXPECT_EQ(service.statsHits(), 256u);
+    if (telemetry::enabled()) {
+        EXPECT_EQ(evictions(), 1u);
     }
 }
 
