@@ -446,9 +446,10 @@ HeteroMap::predict(const Workload &workload, const Graph &graph,
     Timer timer;
     timer.start();
 
+    bool stats_hit = false;
     const GraphStats stats = [&] {
         HM_SPAN("predict.measure");
-        return globalStatsCache().measure(graph, measure);
+        return globalStatsCache().measure(graph, measure, &stats_hit);
     }();
     const double measure_ms = timer.lapMillis();
     HM_HISTOGRAM_RECORD_MS("predict.stage.measure_ms", measure_ms);
@@ -488,6 +489,7 @@ HeteroMap::predict(const Workload &workload, const Graph &graph,
             record.treeLeaf = path.leaf;
         }
         record.measureMs = measure_ms;
+        record.statsHit = stats_hit;
         record.featurizeMs = featurize_ms;
         record.inferMs = infer_ms;
         record.serviceMs = out.overheadMs;

@@ -27,13 +27,13 @@ GraphStatsCache::GraphStatsCache(std::size_t capacity) : memo_(capacity) {}
 
 GraphStats
 GraphStatsCache::measure(const Graph &graph,
-                         const MeasureOptions &options)
+                         const MeasureOptions &options, bool *hit)
 {
     // Measure outside the lock: the graph sweep is the expensive
     // part, and racing misses converge on identical stats anyway.
-    return memo_.getOrCompute(makeKey(graph, options), [&] {
-        return measureGraph(graph, options);
-    });
+    return memo_.getOrCompute(
+        makeKey(graph, options),
+        [&] { return measureGraph(graph, options); }, hit);
 }
 
 std::optional<GraphStats>

@@ -64,10 +64,12 @@ class GraphStatsCache
      * cache the result. Safe to call concurrently; a miss measures
      * outside the lock (two racing misses on one graph both measure
      * — the results are identical by the determinism contract, and
-     * one insert wins).
+     * one insert wins). When @p hit is non-null it receives whether
+     * the lookup counted as a hit.
      */
     GraphStats measure(const Graph &graph,
-                       const MeasureOptions &options = {});
+                       const MeasureOptions &options = {},
+                       bool *hit = nullptr);
 
     /** Cache probe without measuring (does not touch LRU order). */
     std::optional<GraphStats> peek(const Graph &graph,

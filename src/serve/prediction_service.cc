@@ -321,23 +321,24 @@ PredictionService::workerLoop(std::size_t slot)
         bool lethal = false;
         try {
             // The head's stats lookup runs inside the linger window,
-            // which opened at its pop: a warm key (a cache hit) lingers
-            // as before, while a cold key's measurement fills the
-            // window and the gather becomes one non-blocking scan that
-            // still collects every same-key request queued meanwhile.
-            // One measurement amortizes across the batch (every member
-            // shares the fingerprint by construction).
+            // which opened at its pop. Only a warm key (a cache hit)
+            // lingers: a cold key's gather is one non-blocking scan
+            // that still collects every same-key request queued during
+            // the measurement. One measurement amortizes across the
+            // batch (every member shares the fingerprint by
+            // construction).
+            bool stats_hit = false;
             const GraphStats stats = [&] {
                 HM_SPAN("serve.measure");
                 const PendingRequest &head = batch.front();
                 return stats_.measure(*head.request.graph,
-                                      head.request.measure);
+                                      head.request.measure, &stats_hit);
             }();
             const double measure_ms =
                 millisBetween(popped, SteadyClock::now());
             HM_HISTOGRAM_RECORD_MS("serve.batch.measure_ms", measure_ms);
 
-            gatherBatch(batch, popped);
+            gatherBatch(batch, popped, stats_hit);
             beat(health);
 
             if (options_.chaos != nullptr) {
@@ -353,7 +354,7 @@ PredictionService::workerLoop(std::size_t slot)
                     throw ChaosCrash("chaos: worker crashed on batch");
                 }
             }
-            serveBatch(batch, stats, measure_ms);
+            serveBatch(batch, stats, measure_ms, stats_hit);
         } catch (const ChaosCrash &e) {
             // A chaos crash is a rehearsed postmortem moment: dump
             // the flight recorder before containing the batch.
@@ -382,17 +383,21 @@ PredictionService::workerLoop(std::size_t slot)
 
 void
 PredictionService::gatherBatch(std::vector<PendingRequest> &batch,
-                               SteadyClock::time_point popped)
+                               SteadyClock::time_point popped,
+                               bool statsHit)
 {
     if (options_.maxBatch <= batch.size())
         return;
-    // Ladder rung 1+: collapse the linger window — under faults the
-    // service trades batching efficiency for latency head-room.
-    const double linger =
+    // A cold head (a stats miss: no request for its key among the
+    // cache's recent keys) gives no sign of a coming mate, so it does
+    // not hold its worker idle. Ladder rung 1+ collapses the window
+    // too: under faults the service trades batching efficiency for
+    // latency head-room.
+    const bool degraded =
         degradation_.load(std::memory_order_acquire) >=
-                static_cast<int>(DegradationLevel::ShrinkBatch)
-            ? 0.0
-            : options_.maxBatchDelayMs;
+        static_cast<int>(DegradationLevel::ShrinkBatch);
+    const double linger =
+        !statsHit || degraded ? 0.0 : options_.maxBatchDelayMs;
     const BatchKey key = batch.front().key;
     const auto deadline = popped + millisDuration(linger);
     queue_.popMatchingUntil(key, options_.maxBatch - batch.size(),
@@ -401,7 +406,8 @@ PredictionService::gatherBatch(std::vector<PendingRequest> &batch,
 
 void
 PredictionService::serveBatch(std::vector<PendingRequest> &batch,
-                              const GraphStats &stats, double measureMs)
+                              const GraphStats &stats, double measureMs,
+                              bool statsHit)
 {
     HM_SPAN("serve.batch");
     HM_COUNTER_INC("serve.batches");
@@ -612,6 +618,7 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
                     response.deployment.config.accelerator));
                 audit.queueMs = response.queueMs;
                 audit.measureMs = measureMs;
+                audit.statsHit = statsHit;
                 audit.featurizeMs = group.featurizeMs;
                 audit.inferMs = response.deployment.overheadMs;
                 audit.serviceMs = response.serviceMs;

@@ -7,15 +7,17 @@
  * admission control (serve/request_queue.hh). Workers micro-batch:
  * the linger window opens when a worker pops a request (the batch
  * head) and lasts maxBatchDelayMs. The head's GraphStats lookup runs
- * first, inside the window; then the worker collects queued requests
- * that share its graph fingerprint until the window closes. A warm
- * lookup costs microseconds, so a warm head lingers the full window;
- * a cold measurement that outlasts it leaves one non-blocking scan.
- * That one GraphStats measurement — and, per distinct (workload,
- * input, edge weights) in the batch, one featurize and one
- * inference — amortize across the whole batch. A response's
+ * first, inside the window. On a cache hit the worker then collects
+ * queued requests that share its graph fingerprint until the window
+ * closes; on a miss (no request for that key among the cache's
+ * recent keys, so a mate is unlikely) it makes one non-blocking scan,
+ * which still collects every same-key request queued during the
+ * measurement. That one GraphStats measurement — and, per distinct
+ * (workload, input, edge weights) in the batch, one featurize and
+ * one inference — amortize across the whole batch. A response's
  * serviceMs starts at the measurement and its queueMs covers the
- * wait before it plus any linger after it. Featurize never re-runs
+ * wait before it plus any linger after it; its flight-recorder
+ * record says whether the head's lookup hit. Featurize never re-runs
  * the graph algorithm for a known (workload, graph): the executed
  * WorkloadProfile comes from the service's ProfileCache
  * (workloads/profile_cache.hh), and the case is assembled around it
@@ -138,9 +140,10 @@ struct ServiceOptions {
     /**
      * Batching window in milliseconds, opened when a worker pops the
      * first request of a batch. The head's stats lookup runs inside
-     * it, then the worker collects coalescible arrivals until it
-     * closes; a cold measurement longer than the window leaves one
-     * non-blocking scan. 0 batches only what is already queued.
+     * it; if that lookup hit, the worker collects coalescible
+     * arrivals until it closes. A miss lingers not at all: one
+     * non-blocking scan gathers what queued meanwhile. 0 batches only
+     * what is already queued.
      */
     double maxBatchDelayMs = 0.2;
 
@@ -396,12 +399,20 @@ class PredictionService
     ThreadPool pool_; //!< last member: destroyed (joined) first
 
     void workerLoop(std::size_t slot);
-    /** Coalesce same-key requests into @p batch until @p popped + linger. */
+    /**
+     * Coalesce same-key requests into @p batch until @p popped +
+     * linger; the linger is zero unless the head's lookup hit.
+     */
     void gatherBatch(std::vector<PendingRequest> &batch,
-                     std::chrono::steady_clock::time_point popped);
-    /** Serve @p batch from the head's @p stats, measured in @p measureMs. */
+                     std::chrono::steady_clock::time_point popped,
+                     bool statsHit);
+    /**
+     * Serve @p batch from the head's @p stats, looked up in
+     * @p measureMs (@p statsHit: a cache hit).
+     */
     void serveBatch(std::vector<PendingRequest> &batch,
-                    const GraphStats &stats, double measureMs);
+                    const GraphStats &stats, double measureMs,
+                    bool statsHit);
     void superviseDeploy(
         const std::shared_ptr<const ModelSnapshot> &snapshot,
         const BenchmarkCase &bench, ServeResponse &response);

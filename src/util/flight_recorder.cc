@@ -62,6 +62,7 @@ auditRecordToJson(const AuditRecord &record)
         << ",\"status\":" << record.status
         << ",\"degradation\":" << record.degradationLevel
         << ",\"supervised\":" << (record.supervised ? "true" : "false")
+        << ",\"stats_hit\":" << (record.statsHit ? "true" : "false")
         << ",\"fallback\":"
         << (record.servedByFallback ? "true" : "false")
         << ",\"has_outcome\":" << (record.hasOutcome ? "true" : "false")

@@ -8,12 +8,13 @@
  * feature vector, the decision path (flat-tree predicate mask + leaf
  * id when the model is the flattened decision tree, model kind + raw
  * normalized-M scores otherwise), the chosen accelerator, per-stage
- * latencies, and the supervised outcome when one exists — into the
- * calling thread's fixed-capacity ring (util/thread_ring.hh, shared
- * with the trace spans): drop-oldest on overflow with exact drop
- * accounting (auditRecordsDropped(), and the "flight.dropped"
- * registry counter), retired threads' records preserved, everything
- * leaked so late-exiting threads stay safe.
+ * latencies, whether the stats lookup hit (a served request's queueMs
+ * includes a batch linger only then), and the supervised outcome when
+ * one exists — into the calling thread's fixed-capacity ring
+ * (util/thread_ring.hh, shared with the trace spans): drop-oldest on
+ * overflow with exact drop accounting (auditRecordsDropped(), and the
+ * "flight.dropped" registry counter), retired threads' records
+ * preserved, everything leaked so late-exiting threads stay safe.
  *
  * The recorder is disarmed by default: append() is a single relaxed
  * atomic load until armFlightRecorder() runs, so the serving hot path
@@ -77,6 +78,7 @@ struct AuditRecord {
     int32_t status = 0;           //!< serve::ServeStatus value
     int32_t degradationLevel = 0; //!< watchdog ladder rung
     bool supervised = false;
+    bool statsHit = false;        //!< (batch head's) stats lookup hit
     bool servedByFallback = false;
     bool hasOutcome = false;      //!< supervised outcome attached
     bool withinTolerance = false; //!< outcome verdict (mispredict = !)

@@ -41,15 +41,20 @@ class BoundedLruMemo
 
     /**
      * The cached value for @p key (a hit refreshes its LRU slot),
-     * or compute() run outside the lock and inserted.
+     * or compute() run outside the lock and inserted. When @p hit is
+     * non-null it receives whether this lookup counted as a hit; a
+     * miss that finds a racing miss's entry stays a miss.
      */
     template <typename Compute>
     Value
-    getOrCompute(const Key &key, Compute &&compute)
+    getOrCompute(const Key &key, Compute &&compute, bool *hit = nullptr)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (auto found = index_.find(key); found != index_.end()) {
+            auto found = index_.find(key);
+            if (hit != nullptr)
+                *hit = found != index_.end();
+            if (found != index_.end()) {
                 hits_.add(1);
                 lru_.splice(lru_.begin(), lru_, found->second);
                 return found->second->second;

@@ -425,11 +425,13 @@ TEST(ForensicsAuditJsonTest, RecordSerializesToValidJson)
     record.treeLeaf = 7;
     record.treePredicateMask = 0x15;
     record.supervised = true;
+    record.statsHit = true;
     record.hasOutcome = true;
     const std::string json = forensics::auditRecordToJson(record);
     std::string error;
     EXPECT_TRUE(telemetry::validateJson(json, &error)) << error;
     EXPECT_NE(json.find("\"request_id\":42"), std::string::npos);
+    EXPECT_NE(json.find("\"stats_hit\":true"), std::string::npos);
 }
 
 #if HETEROMAP_TELEMETRY
@@ -573,6 +575,51 @@ TEST(ForensicsFlightRecorderTest, DumpWritesBuildStampedJsonl)
     EXPECT_TRUE(saw_header);
     EXPECT_EQ(lines, 6u); // header + 5 records
     forensics::disarmFlightRecorder();
+}
+
+TEST(ForensicsFlightRecorderTest, AuditTellsWhetherTheHeadLingered)
+{
+    // A served request's record says whether its batch head's stats
+    // lookup hit: only then did the worker linger, so only then can
+    // its queueMs include a linger.
+    setLogVerbose(false);
+    Oracle oracle;
+    AcceleratorPair pair = pinnedPair(primaryPair());
+    serve::ModelRegistry registry(pair, oracle);
+    registry.publish(PredictorKind::DecisionTree,
+                     makePredictor(PredictorKind::DecisionTree));
+
+    serve::ServiceOptions options;
+    options.workers = 1;
+    serve::PredictionService service(registry, options);
+    serve::ServeRequest request;
+    request.workload =
+        std::shared_ptr<const Workload>(makeWorkload("PR"));
+    request.graph =
+        std::make_shared<const Graph>(generateMesh(256, 4, 1));
+    request.inputName = "mesh";
+
+    forensics::armFlightRecorder(64);
+    const serve::ServeResponse cold = service.submit(request).get();
+    const serve::ServeResponse warm = service.submit(request).get();
+    service.close();
+    const std::vector<forensics::AuditRecord> records =
+        forensics::drainAuditRecords();
+    forensics::disarmFlightRecorder();
+
+    ASSERT_EQ(cold.status, serve::ServeStatus::Ok);
+    ASSERT_EQ(warm.status, serve::ServeStatus::Ok);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].requestId, cold.requestId);
+    EXPECT_FALSE(records[0].statsHit);
+    EXPECT_NE(forensics::auditRecordToJson(records[0])
+                  .find("\"stats_hit\":false"),
+              std::string::npos);
+    EXPECT_EQ(records[1].requestId, warm.requestId);
+    EXPECT_TRUE(records[1].statsHit);
+    EXPECT_NE(forensics::auditRecordToJson(records[1])
+                  .find("\"stats_hit\":true"),
+              std::string::npos);
 }
 
 /* -------------------------- statusz --------------------------- */

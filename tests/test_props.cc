@@ -709,18 +709,23 @@ TEST(PropsStatsCache, HitMissAndValueCorrectness)
     GraphStatsCache cache(8);
     Graph g = generateUniformRandom(1000, 6000, 5);
 
-    GraphStats cold = cache.measure(g);
+    bool hit = true;
+    GraphStats cold = cache.measure(g, {}, &hit);
+    EXPECT_FALSE(hit);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_TRUE(statsBitEqual(cold, measureGraph(g)));
 
-    GraphStats warm = cache.measure(g);
+    GraphStats warm = cache.measure(g, {}, &hit);
+    EXPECT_TRUE(hit);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_TRUE(statsBitEqual(cold, warm));
 
     // A structural copy hits: the key is content, not identity.
     Graph copy = g;
-    cache.measure(copy);
+    hit = false;
+    cache.measure(copy, {}, &hit);
+    EXPECT_TRUE(hit);
     EXPECT_EQ(cache.hits(), 2u);
 }
 
@@ -792,16 +797,24 @@ TEST(PropsStatsCache, ConcurrentMissesConverge)
 
     // Collect in workers, assert on the main thread.
     std::vector<GraphStats> results(8);
+    std::vector<char> told_hit(8, 0);
     ThreadPool pool(4);
     pool.parallelFor(8, [&](std::size_t i) {
         MeasureOptions serial_inner;
         serial_inner.threads = 1; // no nested pools inside workers
-        results[i] = cache.measure(g, serial_inner);
+        bool hit = false;
+        results[i] = cache.measure(g, serial_inner, &hit);
+        told_hit[i] = hit;
     });
     for (const GraphStats &stats : results)
         EXPECT_TRUE(statsBitEqual(stats, expected));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.hits() + cache.misses(), 8u);
+    // Each caller's flag agrees with the counters: a racing miss that
+    // finds another's entry on insert is still told "miss".
+    EXPECT_EQ(static_cast<uint64_t>(
+                  std::count(told_hit.begin(), told_hit.end(), 1)),
+              cache.hits());
 }
 
 TEST(PropsStatsCache, GlobalCacheIsWiredAndMemoizes)

@@ -1200,6 +1200,10 @@ TEST_F(ServeServiceTest, CollidingWorkloadNamesNeverShareAProfile)
     options.maxBatch = 8;
     options.maxBatchDelayMs = 50.0;
     PredictionService service(registry_, options);
+    // Warm the stats key first: only a head whose lookup hits lingers
+    // for a mate, and a cold head measures mesh_ in microseconds.
+    ASSERT_EQ(service.submit(makeRequest(low, mesh_, "g")).get().status,
+              ServeStatus::Ok);
     auto low_future = service.submit(makeRequest(low, mesh_, "g"));
     auto high_future = service.submit(makeRequest(high, mesh_, "g"));
     const ServeResponse low_served = low_future.get();
@@ -1358,6 +1362,59 @@ TEST_F(ServeServiceTest, ArrivalDuringTheHeadMeasurementJoinsItsBatch)
     EXPECT_TRUE(sameDeployment(head_served.deployment, expected));
     EXPECT_TRUE(sameDeployment(joiner_served.deployment, expected));
     EXPECT_EQ(service.statsMisses() + service.statsHits(), 1u);
+}
+
+TEST_F(ServeServiceTest, ColdHeadDoesNotLinger)
+{
+    // A stats miss gives no sign of a coming batch mate, so the worker
+    // serves the lone cold head at once instead of waiting out the
+    // window.
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatchDelayMs = 50.0;
+    PredictionService service(registry_, options);
+    const ServeResponse served =
+        service.submit(makeRequest(pagerank_, mesh_, "g")).get();
+    service.close();
+    ASSERT_EQ(served.status, ServeStatus::Ok);
+    EXPECT_EQ(served.batchSize, 1u);
+    EXPECT_EQ(service.statsMisses(), 1u);
+    EXPECT_LT(served.queueMs + served.serviceMs, 25.0)
+        << "queue " << served.queueMs << " ms, service "
+        << served.serviceMs << " ms";
+}
+
+TEST_F(ServeServiceTest, WarmHeadStillLingersForAMate)
+{
+    const HeteroMap &framework = *registry_.current()->framework;
+    const Deployment expected = framework.deploy(
+        makeCase(*pagerank_, *mesh_, "g", measureGraph(*mesh_)));
+
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatchDelayMs = 50.0;
+    PredictionService service(registry_, options);
+    ASSERT_EQ(
+        service.submit(makeRequest(pagerank_, mesh_, "g")).get().status,
+        ServeStatus::Ok);
+
+    // The head's lookup hits, so its worker holds the window open; a
+    // same-key request 12 ms later joins the head's batch.
+    auto head = service.submit(makeRequest(pagerank_, mesh_, "g"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(12));
+    auto mate = service.submit(makeRequest(pagerank_, mesh_, "g"));
+    const ServeResponse head_served = head.get();
+    const ServeResponse mate_served = mate.get();
+    service.close();
+
+    ASSERT_EQ(head_served.status, ServeStatus::Ok);
+    ASSERT_EQ(mate_served.status, ServeStatus::Ok);
+    EXPECT_EQ(head_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_EQ(mate_served.batchSize, 2u) << "expected one shared batch";
+    EXPECT_TRUE(sameDeployment(head_served.deployment, expected));
+    EXPECT_TRUE(sameDeployment(mate_served.deployment, expected));
+    EXPECT_EQ(service.statsMisses(), 1u);
+    EXPECT_EQ(service.statsHits(), 1u);
 }
 
 TEST(ServeProfileCache, BoundsEntriesAndEvictsLeastRecent)
