@@ -2,7 +2,7 @@
  * @file
  * Graph-measurement substrate benchmark: serial vs parallel
  * measureGraph, the serial cold cost split into the symmetry check
- * and the sweeps, cold vs cached (memoized) repeat measurement, and
+ * and the sweeps (naming the diameter kernel each input takes), cold vs cached (memoized) repeat measurement, and
  * the end-to-end online predictor overhead with and without a warm
  * stats cache. The 1,024-vertex mesh/PA/road inputs are the size of
  * the graphs a serving stats-cache miss measures. Companion to
@@ -78,8 +78,8 @@ main(int argc, char **argv)
               << ThreadPool::defaultThreadCount()
               << " hardware threads)\n\n";
 
-    TextTable table({"input", "#V", "#E", "serial ms", "sym ms",
-                     "sweeps ms", "parallel ms", "speedup", "cached ms",
+    TextTable table({"input", "#V", "#E", "kernel", "serial ms",
+                     "sym ms", "sweeps ms", "parallel ms", "speedup", "cached ms",
                      "cold/cached"});
     double worst_ratio = -1.0;
     for (const Input &input : inputs) {
@@ -94,14 +94,17 @@ main(int argc, char **argv)
         const double parallel_ms =
             timeMs(reps, [&] { measureGraph(input.graph, parallel); });
 
-        // Serial cold split: the symmetry check runs only when the
-        // traversal plan allows bottom-up levels; the rest is the
-        // degree sweep plus the BFS double sweeps.
+        // Serial cold split: graphs too small to fan out take the
+        // serial probe and never check symmetry; larger ones run
+        // flatBfs and check it only when the traversal plan allows
+        // bottom-up levels. The rest is the degree sweep plus the
+        // BFS double sweeps.
+        const bool probe = traversalNeverFansOut(input.graph);
         const GraphStats shape = measureGraph(input.graph, 0, 1);
         const bool checks_symmetry =
-            planTraversal(shape.numVertices, shape.numEdges,
-                          shape.avgDegree, shape.degreeStddev)
-                .useBottomUp;
+            !probe && planTraversal(shape.numVertices, shape.numEdges,
+                                    shape.avgDegree, shape.degreeStddev)
+                          .useBottomUp;
         const double sym_ms =
             checks_symmetry
                 ? timeMs(reps,
@@ -124,6 +127,7 @@ main(int argc, char **argv)
             input.name,
             formatCount(stats.numVertices),
             formatCount(stats.numEdges),
+            probe ? "probe" : "flatBfs",
             formatNumber(serial_ms, 3),
             checks_symmetry ? formatNumber(sym_ms, 4) : "skipped",
             formatNumber(std::max(serial_ms - sym_ms, 0.0), 4),

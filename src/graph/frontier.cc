@@ -346,6 +346,52 @@ flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
     return result;
 }
 
+BfsResult
+eccentricityProbe(const Graph &graph, VertexId source,
+                  ProbeScratch &scratch)
+{
+    const VertexId num_vertices = graph.numVertices();
+    HM_ASSERT(source < num_vertices, "BFS source out of range");
+    scratch.queue.resize(std::size_t{num_vertices} + 1);
+    scratch.dist.assign(num_vertices, UINT32_MAX);
+    VertexId *const queue = scratch.queue.data();
+    uint32_t *const dist = scratch.dist.data();
+    const EdgeId *const offsets = graph.offsets().data();
+    const VertexId *const nbrs = graph.rawNeighbors().data();
+
+    queue[0] = source;
+    dist[source] = 0;
+    std::size_t head = 0;
+    std::size_t tail = 1;
+    while (head < tail) {
+        const VertexId v = queue[head++];
+        const uint32_t next_level = dist[v] + 1;
+        for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
+            // Store unconditionally and advance the tail only for an
+            // unreached vertex, so the unpredictable reached test is
+            // data, not a branch. A reached u already sits at most
+            // one level below v, so the min leaves it unchanged; a
+            // ternary here compiles back into the branch.
+            const VertexId u = nbrs[e];
+            const uint32_t du = dist[u];
+            queue[tail] = u;
+            tail += du == UINT32_MAX;
+            dist[u] = std::min(du, next_level);
+        }
+    }
+
+    // FIFO order is level order, so the deepest level is the queue's
+    // suffix; its minimum id is the farthest vertex.
+    BfsResult result;
+    result.reached = tail;
+    result.depth = dist[queue[tail - 1]];
+    result.farthest = queue[tail - 1];
+    for (std::size_t i = tail - 1;
+         i > 0 && dist[queue[i - 1]] == result.depth; --i)
+        result.farthest = std::min(result.farthest, queue[i - 1]);
+    return result;
+}
+
 TraversalPlan
 planTraversal(uint64_t num_vertices, uint64_t num_edges,
               double avg_degree, double degree_stddev)

@@ -2,10 +2,11 @@
  * @file
  * Shared flat-frontier BFS machinery: swap-buffer frontiers over a
  * visited bitmap with an optional direction-optimizing (top-down /
- * bottom-up) switch and optional fan-out over a ThreadPool. Every
- * graph-measurement sweep (hop distances, diameter double sweeps,
- * component flood fills) runs on this substrate instead of growing
- * its own deque-based traversal.
+ * bottom-up) switch and optional fan-out over a ThreadPool. Hop
+ * distances, component flood fills and the diameter double sweeps of
+ * graphs large enough to fan out run on this substrate. Graphs too
+ * small to ever fan out take eccentricityProbe(), a serial FIFO
+ * kernel that returns the same depth, farthest vertex and reach.
  *
  * Determinism contract: a traversal's observable outputs (hop levels,
  * farthest vertex, reached count) are byte-identical for any thread
@@ -47,6 +48,16 @@ inline constexpr std::size_t kFrontierChunk = 2048;
 
 /** Minimum per-level work (vertices or edges) worth fanning out. */
 inline constexpr std::size_t kParallelGrain = 16384;
+
+/** True when no flatBfs level over @p graph can carry kParallelGrain
+ *  work (a level does at most V + E), so a pool would never be used.
+ *  Such graphs take the serial eccentricityProbe for their diameter. */
+inline bool
+traversalNeverFansOut(const Graph &graph)
+{
+    return uint64_t{graph.numVertices()} + graph.numEdges() <
+           kParallelGrain;
+}
 
 /** Default direction-switch thresholds (Beamer-style alpha/beta):
  *  go bottom-up when the frontier's out-edges exceed E / alpha, back
@@ -180,6 +191,29 @@ struct BfsResult {
 BfsResult flatBfs(const Graph &graph, VertexId source,
                   FrontierScratch &scratch, uint32_t *hops,
                   const BfsOptions &options = {});
+
+/** Reusable buffers for eccentricityProbe(). */
+struct ProbeScratch {
+    /** FIFO of reached vertices in BFS order. V + 1 slots: the
+     *  branch-free append stores every scanned neighbor at the tail
+     *  and advances only for fresh ones, so once all V vertices are
+     *  queued, later stores land in slot V. */
+    std::vector<VertexId> queue;
+    std::vector<uint32_t> dist; //!< hop level, UINT32_MAX = unreached
+};
+
+/**
+ * Serial BFS from @p source over out-arcs that reports only the
+ * eccentricity outputs: depth, farthest (the minimum-id vertex of the
+ * deepest level, which is the queue's suffix) and reached — the same
+ * values flatBfs() returns for the source. One FIFO and a per-vertex
+ * distance array, with no visited bitmap and no unpredictable branch
+ * per arc. It never fans out, so it is the kernel for graphs whose
+ * V + E stays below kParallelGrain, where no flatBfs level could
+ * reach the pool either.
+ */
+BfsResult eccentricityProbe(const Graph &graph, VertexId source,
+                            ProbeScratch &scratch);
 
 } // namespace heteromap
 

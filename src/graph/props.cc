@@ -1,7 +1,7 @@
 /**
  * @file
- * Graph property measurement implementation. All sweeps share the
- * flat-frontier machinery (graph/frontier.hh) and the fixed-chunk
+ * Graph property measurement implementation. The sweeps share the
+ * traversal kernels of graph/frontier.hh and the fixed-chunk
  * reduction discipline that makes results thread-count-invariant.
  */
 
@@ -72,12 +72,45 @@ hasSymmetricAdjacency(const Graph &graph)
 
 namespace {
 
+/**
+ * Best of @p sweeps double sweeps, each BFS run by traverse(source).
+ * Double sweep: farthest vertex from a random start, then the
+ * eccentricity of that vertex, which is exact on trees and a tight
+ * lower bound in general. The farthest vertex falls out of the
+ * traversal itself (min id of the deepest level, the same vertex the
+ * old O(V) argmax scan produced).
+ */
+template <typename Traverse>
+uint64_t
+doubleSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
+             Traverse &&traverse)
+{
+    Rng rng(seed);
+    uint64_t best = 0;
+    for (unsigned i = 0; i < std::max(1u, sweeps); ++i) {
+        auto start =
+            static_cast<VertexId>(rng.nextBounded(graph.numVertices()));
+        const BfsResult first = traverse(start);
+        best = std::max<uint64_t>(best, traverse(first.farthest).depth);
+    }
+    return best;
+}
+
 uint64_t
 diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
                ThreadPool *pool, const GraphStats *stats = nullptr)
 {
     if (graph.numVertices() < 2 || graph.numEdges() == 0)
         return 0;
+    if (traversalNeverFansOut(graph)) {
+        // No level would fan out, so run the serial probe: the same
+        // depth and farthest vertex, without the bitmap and frontier
+        // bookkeeping a fan-out needs.
+        ProbeScratch scratch;
+        return doubleSweeps(graph, sweeps, seed, [&](VertexId source) {
+            return eccentricityProbe(graph, source, scratch);
+        });
+    }
     // Model-driven traversal selection: the degree stats measured
     // just before these sweeps pick the direction-switch thresholds
     // and frontier layout (see planTraversal). Thresholds steer only
@@ -101,26 +134,11 @@ diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
         options.bitmapFrontier = plan.bitmapFrontier;
     }
 
-    Rng rng(seed);
     FrontierScratch scratch;
-    uint64_t best = 0;
-    for (unsigned i = 0; i < std::max(1u, sweeps); ++i) {
-        auto start =
-            static_cast<VertexId>(rng.nextBounded(graph.numVertices()));
-        // Double sweep: farthest vertex from a random start, then the
-        // eccentricity of that vertex, which is exact on trees and a
-        // tight lower bound in general. The farthest vertex falls out
-        // of the traversal itself (min id of the deepest level, the
-        // same vertex the old O(V) argmax scan produced).
+    return doubleSweeps(graph, sweeps, seed, [&](VertexId source) {
         scratch.clearVisited();
-        BfsResult first = flatBfs(graph, start, scratch, nullptr,
-                                  options);
-        scratch.clearVisited();
-        BfsResult second = flatBfs(graph, first.farthest, scratch,
-                                   nullptr, options);
-        best = std::max<uint64_t>(best, second.depth);
-    }
-    return best;
+        return flatBfs(graph, source, scratch, nullptr, options);
+    });
 }
 
 /** Default cache-blocking factor for the degree/stats sweep: 256

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <latch>
@@ -58,6 +59,19 @@ directedChain(VertexId n)
     GraphBuilder builder(n);
     for (VertexId v = 0; v + 1 < n; ++v)
         builder.addEdge(v, v + 1);
+    return builder.build();
+}
+
+/** @p m uniformly random directed arcs over @p n vertices (no
+ *  symmetrize, no dedup). */
+Graph
+directedRandom(VertexId n, EdgeId m, uint64_t seed)
+{
+    Rng rng(seed);
+    GraphBuilder builder(n);
+    for (EdgeId i = 0; i < m; ++i)
+        builder.addEdge(static_cast<VertexId>(rng.nextBounded(n)),
+                        static_cast<VertexId>(rng.nextBounded(n)));
     return builder.build();
 }
 
@@ -351,6 +365,148 @@ TEST(PropsFlatBfs, VisitedBitmapPersistsAcrossRuns)
     // Without clearVisited, the next flood claims only its component.
     BfsResult second = flatBfs(g, 20, scratch, nullptr);
     EXPECT_EQ(second.reached, 10u);
+}
+
+// ---------------------------------------------------------------
+// Serial eccentricity probe: the small-graph diameter kernel must
+// return flatBfs's depth, farthest and reached from every source.
+// ---------------------------------------------------------------
+
+TEST(PropsEccentricityProbe, MatchesFlatBfsFromEverySource)
+{
+    const Graph graphs[] = {
+        generateMesh(1024, 4, 100),
+        generatePreferentialAttachment(1024, 4, 101),
+        generateRoadGrid(32, 32, 102),
+        directedRandom(1024, 3072, 103), // asymmetric
+        disconnectedGraph(),             // paths + isolated sources
+        generatePath(2),
+    };
+    ASSERT_FALSE(hasSymmetricAdjacency(graphs[3]));
+    for (const Graph &g : graphs) {
+        FrontierScratch scratch;
+        ProbeScratch probe; // reused across sources, as in a sweep
+        for (VertexId source = 0; source < g.numVertices(); ++source) {
+            scratch.clearVisited();
+            const BfsResult expected =
+                flatBfs(g, source, scratch, nullptr);
+            const BfsResult got = eccentricityProbe(g, source, probe);
+            ASSERT_EQ(got.depth, expected.depth) << "source " << source;
+            ASSERT_EQ(got.farthest, expected.farthest)
+                << "source " << source;
+            ASSERT_EQ(got.reached, expected.reached)
+                << "source " << source;
+        }
+    }
+}
+
+TEST(PropsEccentricityProbe, FarthestIsMinIdOfDeepestLevel)
+{
+    // Three arms from 0 whose tips enter the queue as 8, 7, 9: the
+    // min id is neither the first nor the last of the deepest level.
+    GraphBuilder builder(10);
+    for (auto [a, b, c] : {std::array<VertexId, 3>{1, 4, 8},
+                           std::array<VertexId, 3>{2, 5, 7},
+                           std::array<VertexId, 3>{3, 6, 9}}) {
+        builder.addEdge(0, a);
+        builder.addEdge(a, b);
+        builder.addEdge(b, c);
+    }
+    Graph g = builder.symmetrize().build();
+    ProbeScratch probe;
+    const BfsResult result = eccentricityProbe(g, 0, probe);
+    EXPECT_EQ(result.depth, 3u);
+    EXPECT_EQ(result.farthest, 7u);
+    EXPECT_EQ(result.reached, 10u);
+}
+
+/**
+ * measureGraph outputs recorded before the serial probe existed, on
+ * graphs on both sides of the probe's V + E < kParallelGrain gate
+ * (churn-sized 1k inputs, then mesh, PA, road and directed pairs
+ * straddling the grain), at three probe seeds. Doubles are exact.
+ */
+TEST(PropsGolden, MeasureGraphPinnedAcrossTheGrain)
+{
+    const Graph graphs[] = {
+        generateMesh(1024, 4, 100),
+        generatePreferentialAttachment(1024, 4, 101),
+        generateRoadGrid(32, 32, 102),
+        directedRandom(1024, 3072, 103),
+        generateMesh(3278, 4, 5),                  // V+E 16382
+        generateMesh(3279, 4, 5),                  // V+E 16385
+        generatePreferentialAttachment(1840, 4, 5), // V+E 16376
+        generatePreferentialAttachment(1841, 4, 5), // V+E 16385
+        generateRoadGrid(103, 32, 5),              // V+E 16340
+        generateRoadGrid(104, 32, 5),              // V+E 16498
+        directedRandom(3000, 13000, 7),            // V+E 16000
+        directedRandom(3000, 14000, 7),            // V+E 17000
+    };
+    // Graphs 0-3 and every even index from 4 sit below the grain.
+    for (std::size_t i = 0; i < std::size(graphs); ++i) {
+        const bool below = i < 4 || i % 2 == 0;
+        EXPECT_EQ(graphs[i].numVertices() + graphs[i].numEdges() <
+                      kParallelGrain,
+                  below)
+            << "graph " << i;
+    }
+
+    struct Golden {
+        std::size_t graph;
+        uint64_t seed;
+        GraphStats stats;
+    };
+    // {V, E, maxDegree, avgDegree, diameter, degreeStddev, footprint}
+    const Golden goldens[] = {
+        {0, 1, {1024, 4090, 11, 0x1.ff4p+1, 8, 0x1.023c602123e75p+0, 40920}},
+        {0, 23, {1024, 4090, 11, 0x1.ff4p+1, 9, 0x1.023c602123e75p+0, 40920}},
+        {0, 29, {1024, 4090, 11, 0x1.ff4p+1, 8, 0x1.023c602123e75p+0, 40920}},
+        {1, 1, {1024, 8064, 165, 0x1.f8p+2, 5, 0x1.25c7614bd5ad9p+3, 72712}},
+        {1, 23, {1024, 8064, 165, 0x1.f8p+2, 5, 0x1.25c7614bd5ad9p+3, 72712}},
+        {1, 29, {1024, 8064, 165, 0x1.f8p+2, 5, 0x1.25c7614bd5ad9p+3, 72712}},
+        {2, 1, {1024, 4008, 5, 0x1.f5p+1, 56, 0x1.97d7d5ddbe3b1p-2, 40264}},
+        {2, 23, {1024, 4008, 5, 0x1.f5p+1, 62, 0x1.97d7d5ddbe3b1p-2, 40264}},
+        {2, 29, {1024, 4008, 5, 0x1.f5p+1, 62, 0x1.97d7d5ddbe3b1p-2, 40264}},
+        {3, 1, {1024, 3072, 11, 0x1.8p+1, 10, 0x1.a6b70c7877dbfp+0, 32776}},
+        {3, 23, {1024, 3072, 11, 0x1.8p+1, 11, 0x1.a6b70c7877dbfp+0, 32776}},
+        {3, 29, {1024, 3072, 11, 0x1.8p+1, 15, 0x1.a6b70c7877dbfp+0, 32776}},
+        {4, 1, {3278, 13104, 9, 0x1.ffb0077f4c10ep+1, 9, 0x1.00ef47b7fbac5p+0, 131064}},
+        {4, 23, {3278, 13104, 9, 0x1.ffb0077f4c10ep+1, 9, 0x1.00ef47b7fbac5p+0, 131064}},
+        {4, 29, {3278, 13104, 9, 0x1.ffb0077f4c10ep+1, 10, 0x1.00ef47b7fbac5p+0, 131064}},
+        {5, 1, {3279, 13106, 8, 0x1.ff9c112d0c41ep+1, 10, 0x1.fcc95becee2bep-1, 131088}},
+        {5, 23, {3279, 13106, 8, 0x1.ff9c112d0c41ep+1, 9, 0x1.fcc95becee2bep-1, 131088}},
+        {5, 29, {3279, 13106, 8, 0x1.ff9c112d0c41ep+1, 9, 0x1.fcc95becee2bep-1, 131088}},
+        {6, 1, {1840, 14536, 256, 0x1.f99999999999ap+2, 5, 0x1.485920614faf7p+3, 131016}},
+        {6, 23, {1840, 14536, 256, 0x1.f99999999999ap+2, 5, 0x1.485920614faf7p+3, 131016}},
+        {6, 29, {1840, 14536, 256, 0x1.f99999999999ap+2, 5, 0x1.485920614faf7p+3, 131016}},
+        {7, 1, {1841, 14544, 256, 0x1.f99a7d6d6fa94p+2, 5, 0x1.484bd6c6850a8p+3, 131088}},
+        {7, 23, {1841, 14544, 256, 0x1.f99a7d6d6fa94p+2, 5, 0x1.484bd6c6850a8p+3, 131088}},
+        {7, 29, {1841, 14544, 256, 0x1.f99a7d6d6fa94p+2, 5, 0x1.484bd6c6850a8p+3, 131088}},
+        {8, 1, {3296, 13044, 6, 0x1.fa9027c45979dp+1, 133, 0x1.612a833aa004ap-2, 130728}},
+        {8, 23, {3296, 13044, 6, 0x1.fa9027c45979dp+1, 133, 0x1.612a833aa004ap-2, 130728}},
+        {8, 29, {3296, 13044, 6, 0x1.fa9027c45979dp+1, 133, 0x1.612a833aa004ap-2, 130728}},
+        {9, 1, {3328, 13170, 6, 0x1.fa89d89d89d8ap+1, 134, 0x1.6133cdb30e758p-2, 131992}},
+        {9, 23, {3328, 13170, 6, 0x1.fa89d89d89d8ap+1, 134, 0x1.6133cdb30e758p-2, 131992}},
+        {9, 29, {3328, 13170, 6, 0x1.fa89d89d89d8ap+1, 134, 0x1.6133cdb30e758p-2, 131992}},
+        {10, 1, {3000, 13000, 13, 0x1.1555555555555p+2, 10, 0x1.0d121d87d2f8ap+1, 128008}},
+        {10, 23, {3000, 13000, 13, 0x1.1555555555555p+2, 9, 0x1.0d121d87d2f8ap+1, 128008}},
+        {10, 29, {3000, 13000, 13, 0x1.1555555555555p+2, 10, 0x1.0d121d87d2f8ap+1, 128008}},
+        {11, 1, {3000, 14000, 14, 0x1.2aaaaaaaaaaabp+2, 9, 0x1.16fee1d7980c1p+1, 136008}},
+        {11, 23, {3000, 14000, 14, 0x1.2aaaaaaaaaaabp+2, 10, 0x1.16fee1d7980c1p+1, 136008}},
+        {11, 29, {3000, 14000, 14, 0x1.2aaaaaaaaaaabp+2, 9, 0x1.16fee1d7980c1p+1, 136008}},
+    };
+    for (const Golden &golden : goldens) {
+        MeasureOptions options;
+        options.seed = golden.seed;
+        for (std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+            options.threads = threads;
+            EXPECT_TRUE(statsBitEqual(
+                measureGraph(graphs[golden.graph], options),
+                golden.stats))
+                << "graph " << golden.graph << " seed " << golden.seed
+                << " threads " << threads;
+        }
+    }
 }
 
 TEST(PropsSymmetry, DetectsSymmetricAndDirectedAdjacency)

@@ -19,6 +19,9 @@ position) the change won, and the spread of the parent's runs (the
 distance between their quartiles), and flags a move in the worse
 direction beyond the metric's bound. From the traced runs it prints
 the per-layer medians and names the millisecond stage that moved most.
+It also warns, without changing the exit status, about any run whose
+rps exceeds the driver's outcome reserve: past that rate the driver
+reallocates its outcome vector, and that run's peak_rss_mb counts it.
 Exit status: 0 when nothing is flagged, 1 when a metric regressed past
 its bound or a run failed its output check, 2 on a malformed input.
 """
@@ -30,6 +33,10 @@ import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Outcome slots the servebench driver reserves per second of a
+# closed-loop window (kClosedReserve in servebench/driver.cc).
+OUTCOME_RESERVE_RPS = 30000.0
 
 
 def values(results, name):
@@ -110,6 +117,12 @@ def main():
             if bad:
                 failures.append("%s: %d %s runs failed their checks"
                                 % (workload, bad, side))
+            for i, rps in enumerate(values(results, "rps")):
+                if rps > OUTCOME_RESERVE_RPS:
+                    print("  WARNING: %s run %d reached %.0f req/s, above "
+                          "the driver's %.0f/s outcome reserve; its "
+                          "peak_rss_mb counts a reallocated outcome vector"
+                          % (side, i, rps, OUTCOME_RESERVE_RPS))
         for spec, before, after in compare("end to end", parent, change,
                                            bench["end_to_end"]):
             if regressed(spec, before, after):
