@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/heteromap.hh"
-#include "graph/compressed_csr.hh"
 #include "graph/frontier.hh"
 #include "graph/generators.hh"
 #include "graph/stats_cache.hh"
@@ -172,62 +171,19 @@ main(int argc, char **argv)
     sweep_table.print(std::cout);
     std::cout << "\n";
 
-    // Delta-encoded compressed CSR: payload size vs the raw 4-byte
-    // neighbor array, and the streaming (forEachNeighbor) scan rate
-    // vs the raw CSR scan.
-    TextTable csr_table({"input", "raw MB", "packed MB", "ratio",
-                         "raw scan ms", "stream ms"});
-    for (const Input &input : inputs) {
-        const CompressedCsr packed =
-            CompressedCsr::fromGraph(input.graph);
-        const double raw_mb =
-            static_cast<double>(input.graph.numEdges()) *
-            sizeof(VertexId) / 1e6;
-        const double packed_mb =
-            static_cast<double>(packed.payloadBytes()) / 1e6;
-
-        const double raw_ms = timeMs(5, [&] {
-            uint64_t acc = 0;
-            for (VertexId u : input.graph.rawNeighbors())
-                acc += u;
-            if (acc == 0x51c0ffee)
-                std::cout << ""; // defeat dead-code elimination
-        });
-        const double stream_ms = timeMs(5, [&] {
-            uint64_t acc = 0;
-            const VertexId n = packed.numVertices();
-            for (VertexId v = 0; v < n; ++v)
-                packed.forEachNeighbor(
-                    v, [&](VertexId u) { acc += u; });
-            if (acc == 0x51c0ffee)
-                std::cout << "";
-        });
-        csr_table.addRow({
-            input.name,
-            formatNumber(raw_mb, 2),
-            formatNumber(packed_mb, 2),
-            formatNumber(packed_mb / std::max(raw_mb, 1e-9), 2),
-            formatNumber(raw_ms, 3),
-            formatNumber(stream_ms, 3),
-        });
-    }
-    std::cout << "delta-encoded compressed CSR (chunked-streaming "
-                 "path):\n";
-    csr_table.print(std::cout);
-    std::cout << "\n";
-
-    // End-to-end online path: HeteroMap::predict measures through the
-    // global cache, so the first deployment of a graph pays the
-    // sweeps and every repeat deployment only pays inference.
+    // End-to-end online path: HeteroMap::predict measures and
+    // featurizes through the global caches, so the first deployment
+    // of a graph pays the sweeps and the workload run, and every
+    // repeat deployment only pays inference.
     Oracle oracle;
     HeteroMap framework(primaryPair(),
                         makePredictor(PredictorKind::DecisionTree),
                         oracle);
-    auto workload = makeWorkload("PR");
+    std::shared_ptr<const Workload> workload = makeWorkload("PR");
     Graph online = generateRmat(15, 12.0, 41);
 
-    Deployment cold = framework.predict(*workload, online, "rmat15");
-    Deployment warm = framework.predict(*workload, online, "rmat15");
+    Deployment cold = framework.predict(workload, online, "rmat15");
+    Deployment warm = framework.predict(workload, online, "rmat15");
     std::cout << "online predict overhead (measurement + inference):\n"
               << "  cold graph: " << formatNumber(cold.overheadMs, 3)
               << " ms\n"

@@ -63,14 +63,14 @@ main(int argc, char **argv)
     // --- The online path: predict twice (cold, then cache-warm). ---
     Graph graph = generateRmat(/*scale=*/12, /*edge_factor=*/10.0,
                                /*seed=*/42);
-    auto workload = makeWorkload("PR");
+    std::shared_ptr<const Workload> workload = makeWorkload("PR");
     Oracle oracle;
     HeteroMap framework(primaryPair(),
                         makePredictor(PredictorKind::DecisionTree),
                         oracle);
 
-    Deployment cold = framework.predict(*workload, graph, "rmat12");
-    Deployment warm = framework.predict(*workload, graph, "rmat12");
+    Deployment cold = framework.predict(workload, graph, "rmat12");
+    Deployment warm = framework.predict(workload, graph, "rmat12");
     const double total_overhead_ms = cold.overheadMs + warm.overheadMs;
 
     std::cout << "cold predict overhead: " << cold.overheadMs
@@ -138,7 +138,8 @@ main(int argc, char **argv)
         return n;
     };
     if (count_named("predict") != 2 ||
-        count_named("predict.infer") != 3 || // 2 predicts + supervisor
+        count_named("predict.infer_batch") != 2 || // 2 predicts
+        count_named("predict.infer") != 1 ||       // supervisor
         count_named("supervise.deploy") != 1)
         return fail("exported trace lacks the expected spans");
 

@@ -5,6 +5,7 @@
 
 #include "core/heteromap.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/stats_cache.hh"
@@ -431,16 +432,12 @@ HeteroMap::deploy(const BenchmarkCase &bench) const
 }
 
 Deployment
-HeteroMap::predict(const Workload &workload, const Graph &graph,
-                   const std::string &input_name,
+HeteroMap::predict(const std::shared_ptr<const Workload> &workload,
+                   const Graph &graph, const std::string &input_name,
                    const MeasureOptions &measure) const
 {
     // The full online path is real framework time the paper's
-    // overhead column would see. Each stage is timed with lapMillis()
-    // — one clock read per stage boundary — so the per-stage
-    // "predict.stage.*" histograms partition overheadMs exactly:
-    // their sums add up to the reported total, no instant counted
-    // twice or dropped.
+    // overhead column would see; its three stage times sum to it.
     HM_SPAN("predict");
     HM_COUNTER_INC("predict.calls");
     Timer timer;
@@ -454,48 +451,99 @@ HeteroMap::predict(const Workload &workload, const Graph &graph,
     const double measure_ms = timer.lapMillis();
     HM_HISTOGRAM_RECORD_MS("predict.stage.measure_ms", measure_ms);
 
-    BenchmarkCase bench = [&] {
-        HM_SPAN("predict.featurize");
-        return makeCase(workload, graph, input_name, stats);
-    }();
-    const double featurize_ms = timer.lapMillis();
-    HM_HISTOGRAM_RECORD_MS("predict.stage.featurize_ms", featurize_ms);
-
-    // deploy() times the inference stage itself and records it as
-    // "predict.stage.infer_ms"; its overheadMs is that stage's value.
-    Deployment out = deploy(bench);
+    const OnlineRequest request{workload, graph, input_name};
+    OnlineGroup group = std::move(
+        featurizeAndDeploy({&request, 1}, stats, globalProfileCache())
+            .front());
+    HM_HISTOGRAM_RECORD_MS("predict.stage.featurize_ms",
+                           group.featurizeMs);
+    Deployment out = std::move(*group.deployment);
     const double infer_ms = out.overheadMs;
-    out.overheadMs += measure_ms + featurize_ms;
+    HM_HISTOGRAM_RECORD_MS("predict.stage.infer_ms", infer_ms);
+    out.overheadMs += measure_ms + group.featurizeMs;
 
     if (forensics::flightRecorderArmed()) {
-        // Library-path provenance: requestId/epoch 0 mark a direct
-        // predict() call (the serving path stamps real ids).
-        static_assert(forensics::kAuditFeatureDims == kNumFeatures);
-        static_assert(forensics::kAuditScoreDims == kNumOutputs);
+        // requestId and modelEpoch stay 0: a library call, not served.
         forensics::AuditRecord record;
-        record.timestampNs = telemetry::traceNowNs();
-        record.graphFingerprint = mixFingerprint(graph.fingerprint());
-        record.setModelKind(predictor_->name());
-        record.setWorkload(workload.name());
-        record.features = bench.features.asArray();
-        record.scores = out.predicted.m;
-        record.setAccelerator(
-            acceleratorKindName(out.config.accelerator));
-        if (const auto *tree =
-                dynamic_cast<const DecisionTreeHeuristic *>(
-                    predictor_.get())) {
-            const auto path = tree->decisionPath(bench.features);
-            record.treePredicateMask = path.predicateMask;
-            record.treeLeaf = path.leaf;
-        }
+        auditPrediction(record, graph, group.bench, out);
         record.measureMs = measure_ms;
         record.statsHit = stats_hit;
-        record.featurizeMs = featurize_ms;
+        record.featurizeMs = group.featurizeMs;
         record.inferMs = infer_ms;
         record.serviceMs = out.overheadMs;
         forensics::appendAuditRecord(record);
     }
     return out;
+}
+
+std::vector<OnlineGroup>
+HeteroMap::featurizeAndDeploy(std::span<const OnlineRequest> requests,
+                              const GraphStats &stats,
+                              ProfileCache &profiles) const
+{
+    std::vector<OnlineGroup> groups;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const OnlineRequest &request = requests[i];
+        // Workload identity, not name: distinct workloads may share a
+        // name. Weights: the stats (batch) key covers structure only.
+        auto group = std::find_if(
+            groups.begin(), groups.end(), [&](const OnlineGroup &g) {
+                const OnlineRequest &lead = requests[g.members.front()];
+                return request.workload == lead.workload &&
+                       request.inputName == lead.inputName &&
+                       request.graph.weightsHash() ==
+                           lead.graph.weightsHash();
+            });
+        if (group == groups.end()) {
+            HM_SPAN("predict.featurize");
+            Timer timer;
+            OnlineGroup fresh;
+            fresh.bench = assembleCase(
+                *request.workload, request.inputName,
+                *profiles.profile(request.workload, request.graph), stats,
+                stats);
+            fresh.featurizeMs = timer.lapMillis();
+            group = groups.insert(groups.end(), std::move(fresh));
+        }
+        group->members.push_back(i);
+        if (request.needsInference && !group->deployment)
+            group->deployment.emplace(); // filled by the pass below
+    }
+
+    // One batched forward pass over every group that needs one.
+    std::vector<BenchmarkCase> benches;
+    for (const OnlineGroup &group : groups)
+        if (group.deployment)
+            benches.push_back(group.bench);
+    std::vector<Deployment> deployments = deployBatch(benches);
+    auto next = deployments.begin();
+    for (OnlineGroup &group : groups)
+        if (group.deployment)
+            *group.deployment = std::move(*next++);
+    return groups;
+}
+
+void
+HeteroMap::auditPrediction(forensics::AuditRecord &record,
+                           const Graph &graph, const BenchmarkCase &bench,
+                           const Deployment &deployment) const
+{
+    static_assert(forensics::kAuditFeatureDims == kNumFeatures);
+    static_assert(forensics::kAuditScoreDims == kNumOutputs);
+    record.timestampNs = telemetry::traceNowNs();
+    record.graphFingerprint = mixFingerprint(graph.fingerprint());
+    record.setModelKind(predictor_->name());
+    record.setWorkload(bench.workloadName);
+    record.features = bench.features.asArray();
+    record.scores = deployment.predicted.m;
+    record.setAccelerator(
+        acceleratorKindName(deployment.config.accelerator));
+    if (const auto *tree =
+            dynamic_cast<const DecisionTreeHeuristic *>(predictor_.get())) {
+        const auto path = tree->decisionPath(bench.features);
+        record.treeLeaf = path.leaf;
+        record.treePredicateMask = path.predicateMask;
+    }
 }
 
 Deployment

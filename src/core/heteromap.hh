@@ -20,10 +20,12 @@
 #include "graph/props.hh"
 #include "model/predictor.hh"
 #include "util/errors.hh"
+#include "workloads/profile_cache.hh"
 
 namespace heteromap {
 
 struct FeatureBaseline;
+namespace forensics { struct AuditRecord; }
 
 /**
  * The learner strategies of Table IV, plus the non-parametric
@@ -147,6 +149,22 @@ struct DeployConstraints {
     std::optional<AcceleratorKind> forceAccelerator;
 };
 
+/** One request of an online batch; it must outlive the stage call. */
+struct OnlineRequest {
+    const std::shared_ptr<const Workload> &workload;
+    const Graph &graph;
+    const std::string &inputName;
+    bool needsInference = true; //!< false: the caller deploys it
+};
+
+/** Requests of an online batch that share one featurized case. */
+struct OnlineGroup {
+    BenchmarkCase bench;
+    double featurizeMs = 0.0;
+    std::vector<std::size_t> members; //!< indices into the requests
+    std::optional<Deployment> deployment; //!< iff a member needs one
+};
+
 /** Trained predictor bound to a multi-accelerator pair. */
 class HeteroMap
 {
@@ -166,19 +184,14 @@ class HeteroMap
     Deployment deploy(const BenchmarkCase &bench) const;
 
     /**
-     * One-call online path from a raw graph: measure it through the
-     * global GraphStats cache (graph/stats_cache.hh), featurize,
-     * predict, and deploy. Every stage is timed: the returned
-     * overheadMs is exactly the sum of the measurement latency (near
-     * zero when the graph's stats are still cached), the featurize
-     * latency, and the inference latency, and each stage is recorded
-     * in the telemetry registry ("predict.stage.measure_ms" /
-     * ".featurize_ms" / ".infer_ms" histograms) and as trace spans —
-     * keeping the Table IV overhead accounting honest for the full
-     * runtime path, with a per-stage breakdown instead of a single
-     * opaque number.
+     * One-call online path from a raw graph: a globalStatsCache()
+     * lookup, then featurizeAndDeploy() as a batch of one over
+     * globalProfileCache() (keyed on workload identity, hence the
+     * shared_ptr). overheadMs is exactly measure + featurize + infer
+     * latency, each also a "predict.stage.*_ms" histogram and a span.
      */
-    Deployment predict(const Workload &workload, const Graph &graph,
+    Deployment predict(const std::shared_ptr<const Workload> &workload,
+                       const Graph &graph,
                        const std::string &input_name,
                        const MeasureOptions &measure = {}) const;
 
@@ -197,6 +210,27 @@ class HeteroMap
      */
     std::vector<Deployment>
     deployBatch(std::span<const BenchmarkCase> benches) const;
+
+    /**
+     * The online stage predict() and the serving batcher share:
+     * group @p requests by (workload identity, input name, edge
+     * weights), featurize each group once from @p profiles and
+     * @p stats (which every request's graph measures to) into the
+     * bytes makeCase builds, and deployBatch() those that need it.
+     */
+    std::vector<OnlineGroup>
+    featurizeAndDeploy(std::span<const OnlineRequest> requests,
+                       const GraphStats &stats,
+                       ProfileCache &profiles) const;
+
+    /**
+     * Fill @p record's timestamp, graph fingerprint, model kind,
+     * workload, features, scores, accelerator and tree path for
+     * @p deployment of @p bench on @p graph.
+     */
+    void auditPrediction(forensics::AuditRecord &record,
+                         const Graph &graph, const BenchmarkCase &bench,
+                         const Deployment &deployment) const;
 
     const Predictor &predictor() const { return *predictor_; }
     const AcceleratorPair &pair() const { return pair_; }

@@ -97,16 +97,4 @@ GraphChunker::chunk(std::size_t index) const
     return result;
 }
 
-GraphChunker::CompressedChunk
-GraphChunker::compressedChunk(std::size_t index) const
-{
-    GraphChunk raw = chunk(index);
-    CompressedChunk out;
-    out.subgraph = CompressedCsr::fromGraph(raw.subgraph);
-    out.firstVertex = raw.firstVertex;
-    out.haloBegin = raw.haloBegin;
-    out.localToGlobal = std::move(raw.localToGlobal);
-    return out;
-}
-
 } // namespace heteromap

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/compressed_csr.hh"
 #include "graph/graph.hh"
 
 namespace heteromap {
@@ -52,22 +51,6 @@ class GraphChunker
 
     /** Materialize chunk @p index (0-based). */
     GraphChunk chunk(std::size_t index) const;
-
-    /**
-     * Opt-in streaming form of chunk(): the same induced subgraph
-     * delta-compressed (graph/compressed_csr.hh), for hosts that
-     * stage chunks in a memory budget tighter than the raw CSR —
-     * local edges dominate a vertex-range chunk, and local deltas
-     * encode in 1-2 bytes. compressed.decompress() reproduces
-     * chunk(index).subgraph exactly.
-     */
-    struct CompressedChunk {
-        CompressedCsr subgraph;
-        VertexId firstVertex = 0;
-        VertexId haloBegin = 0;
-        std::vector<VertexId> localToGlobal;
-    };
-    CompressedChunk compressedChunk(std::size_t index) const;
 
     /** @return the vertex boundaries [b0=0, b1, ..., bn=V]. */
     const std::vector<VertexId> &boundaries() const { return boundaries_; }

@@ -12,12 +12,10 @@
 #include <sstream>
 #include <string>
 
-#include "model/decision_tree.hh"
 #include "util/build_info.hh"
 #include "util/flight_recorder.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
-#include "util/timer.hh"
 #include "util/trace.hh"
 
 namespace heteromap {
@@ -56,9 +54,8 @@ sleepMillis(double ms)
             std::chrono::duration<double, std::milli>(ms));
 }
 
-/** Entry bounds of each service's stats and profile caches. */
+/** Entry bound of each service's stats cache. */
 constexpr std::size_t kStatsCapacity = 128;
-constexpr std::size_t kProfileCapacity = 64;
 
 /** Clamp the zero-means-default knobs to sane minima. */
 ServiceOptions
@@ -93,7 +90,7 @@ PredictionService::PredictionService(ModelRegistry &models,
                                      ServiceOptions options)
     : models_(models), options_(normalized(std::move(options))),
       queue_(options_.queueCapacity),
-      stats_(kStatsCapacity), profiles_(kProfileCapacity),
+      stats_(kStatsCapacity),
       drift_(options_.drift),
       slo_(options_.slo), metrics_([this] {
           return telemetry::CounterReadings{
@@ -454,88 +451,23 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
     if (telemetry::enabled())
         drift_.setBaseline(snapshot->baseline);
 
-    Timer timer;
-    timer.start();
+    const HeteroMap &framework =
+        use_fallback ? *fallback_ : *snapshot->framework;
+    std::vector<OnlineRequest> requests;
+    requests.reserve(live.size());
+    for (std::size_t i : live) {
+        const ServeRequest &r = batch[i].request;
+        requests.push_back({r.workload, *r.graph, r.inputName,
+                            !r.supervised || bypass_supervised});
+    }
+    const std::vector<OnlineGroup> groups =
+        framework.featurizeAndDeploy(requests, stats, profiles_);
 
-    // Pass 1 — group members by (workload, input, edge weights): one
-    // featurize per group, and note which groups have at least one member that
-    // needs an (unsupervised) inference.
-    struct Group {
-        BenchmarkCase bench;
-        double featurizeMs = 0.0;         //!< this group's featurize
-        std::vector<std::size_t> members; //!< indices into `live`
-        std::ptrdiff_t inferSlot = -1;    //!< slot in the batched pass
-    };
-    std::vector<Group> groups;
-    std::vector<bool> grouped(live.size(), false);
-    std::vector<BenchmarkCase> infer_benches;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        if (grouped[i])
-            continue;
-        const ServeRequest &lead = batch[live[i]].request;
-
-        timer.lapMillis(); // realign: charge only the featurize below
-        Group group;
-        group.bench = [&] {
-            HM_SPAN("serve.featurize");
-            // The memoized profile makes this byte-identical to
-            // makeCase(*lead.workload, *lead.graph, ...) without
-            // re-running the algorithm (the output stays empty).
-            return assembleCase(
-                *lead.workload, lead.inputName,
-                *profiles_.profile(lead.workload, *lead.graph), stats,
-                stats);
-        }();
-        group.featurizeMs = timer.lapMillis();
+    double infer_ms = 0.0; // the batch's forward pass, summed back
+    for (const OnlineGroup &group : groups) {
         HM_HISTOGRAM_RECORD_MS("serve.batch.featurize_ms",
                                group.featurizeMs);
-
-        bool needs_infer = false;
-        for (std::size_t j = i; j < live.size(); ++j) {
-            if (grouped[j])
-                continue;
-            const ServeRequest &member = batch[live[j]].request;
-            // Workload identity, not name: distinct workloads may
-            // share a name (SyntheticWorkload keeps 16 seed bits).
-            // The batch key covers structure only, so weight twins
-            // (same CSR, different weights) featurize separately.
-            if (member.inputName != lead.inputName ||
-                member.workload != lead.workload ||
-                member.graph->weightsHash() !=
-                    lead.graph->weightsHash()) {
-                continue;
-            }
-            grouped[j] = true;
-            group.members.push_back(j);
-            if (!member.supervised || bypass_supervised)
-                needs_infer = true;
-        }
-        if (needs_infer) {
-            group.inferSlot =
-                static_cast<std::ptrdiff_t>(infer_benches.size());
-            infer_benches.push_back(group.bench);
-        }
-        groups.push_back(std::move(group));
-    }
-
-    // One batched forward pass serves every group: the predictor runs
-    // once over all distinct (workload, input) cases instead of once
-    // per group. Each Deployment is byte-identical to the per-group
-    // deploy() it replaces (Predictor::predictBatch contract) and
-    // carries the batch-amortized inference share as overheadMs.
-    std::vector<Deployment> deployments;
-    if (!infer_benches.empty()) {
-        HM_SPAN("serve.infer");
-        const HeteroMap &framework =
-            use_fallback ? *fallback_ : *snapshot->framework;
-        timer.lapMillis();
-        deployments = framework.deployBatch(infer_benches);
-        const double infer_ms = timer.lapMillis();
-        HM_HISTOGRAM_RECORD_MS("serve.batch.infer_ms", infer_ms);
-    }
-
-    // Pass 2 — distribute responses.
-    for (const Group &group : groups) {
+        infer_ms += group.deployment ? group.deployment->overheadMs : 0.0;
         for (std::size_t j : group.members) {
             PendingRequest &member_pending = batch[live[j]];
             const ServeRequest &member = member_pending.request;
@@ -561,10 +493,9 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
                 if (member.supervised) {
                     HM_COUNTER_INC("serve.supervised_bypassed");
                 }
-                HM_ASSERT(group.inferSlot >= 0,
+                HM_ASSERT(group.deployment.has_value(),
                           "unsupervised member without an inference");
-                response.deployment = deployments[
-                    static_cast<std::size_t>(group.inferSlot)];
+                response.deployment = *group.deployment;
                 if (use_fallback) {
                     response.servedByFallback = true;
                     fallback_served_.fetch_add(
@@ -583,39 +514,15 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
             }
 
             if (forensics::flightRecorderArmed()) {
-                static_assert(forensics::kAuditFeatureDims ==
-                                  kNumFeatures,
-                              "audit feature dims track kNumFeatures");
-                static_assert(forensics::kAuditScoreDims ==
-                                  kNumOutputs,
-                              "audit score dims track kNumOutputs");
-                const bool lane_supervised =
-                    member.supervised && !bypass_supervised;
-                const HeteroMap &served =
-                    !lane_supervised && use_fallback
-                        ? *fallback_
-                        : *snapshot->framework;
+                const HeteroMap &served = response.outcome
+                                              ? *snapshot->framework
+                                              : framework;
 
                 forensics::AuditRecord audit;
                 audit.requestId = member_pending.id;
-                audit.timestampNs = telemetry::traceNowNs();
                 audit.modelEpoch = snapshot->epoch;
-                audit.graphFingerprint =
-                    mixFingerprint(member_pending.key.fingerprint);
-                audit.setModelKind(served.predictor().name());
-                audit.setWorkload(member.workload->name());
-                if (const auto *tree =
-                        dynamic_cast<const DecisionTreeHeuristic *>(
-                            &served.predictor())) {
-                    const DecisionTreeHeuristic::DecisionPath path =
-                        tree->decisionPath(group.bench.features);
-                    audit.treeLeaf = path.leaf;
-                    audit.treePredicateMask = path.predicateMask;
-                }
-                audit.features = group.bench.features.asArray();
-                audit.scores = response.deployment.predicted.m;
-                audit.setAccelerator(acceleratorKindName(
-                    response.deployment.config.accelerator));
+                served.auditPrediction(audit, *member.graph, group.bench,
+                                       response.deployment);
                 audit.queueMs = response.queueMs;
                 audit.measureMs = measureMs;
                 audit.statsHit = statsHit;
@@ -638,6 +545,8 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch,
             respond(member_pending, std::move(response));
         }
     }
+    if (infer_ms > 0.0)
+        HM_HISTOGRAM_RECORD_MS("serve.batch.infer_ms", infer_ms);
 }
 
 void

@@ -12,20 +12,16 @@
  * closes; on a miss (no request for that key among the cache's
  * recent keys, so a mate is unlikely) it makes one non-blocking scan,
  * which still collects every same-key request queued during the
- * measurement. That one GraphStats measurement — and, per distinct
- * (workload, input, edge weights) in the batch, one featurize and
- * one inference — amortize across the whole batch. A response's
- * serviceMs starts at the measurement and its queueMs covers the
- * wait before it plus any linger after it; its flight-recorder
- * record says whether the head's lookup hit. Featurize never re-runs
- * the graph algorithm for a known (workload, graph): the executed
- * WorkloadProfile comes from the service's ProfileCache
- * (workloads/profile_cache.hh), and the case is assembled around it
- * (core/oracle.hh assembleCase) — the same bytes makeCase would
- * produce. Responses are stamped with the epoch of the ModelRegistry
- * snapshot that served them, so hot-swaps (background retrain, disk
- * load) are observable per response and can never tear a model out
- * from under an in-flight batch.
+ * measurement. That one measurement serves the whole batch, and
+ * HeteroMap::featurizeAndDeploy (the stage HeteroMap::predict runs
+ * as a batch of one) featurizes and infers the rest over the
+ * service's own ProfileCache. A response's serviceMs starts at the
+ * measurement and its queueMs covers the wait before it plus any
+ * linger after it; its flight-recorder record says whether the
+ * head's lookup hit. Responses are stamped with the epoch of the
+ * ModelRegistry snapshot that served them, so hot-swaps (background
+ * retrain, disk load) are observable per response and can never tear
+ * a model out from under an in-flight batch.
  *
  * Supervised lane: requests with supervised = true deploy through a
  * persistent core/supervisor Supervisor, whose mispredict detection

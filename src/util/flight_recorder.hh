@@ -47,8 +47,9 @@ namespace forensics {
 /**
  * Feature/score dimensions are fixed here rather than pulled from
  * features/ and model/ headers because util/ sits below both in the
- * library stack; serve/prediction_service.cc static_asserts these
- * against kNumFeatures / kNumOutputs so a drifting paper constant
+ * library stack; HeteroMap::auditPrediction (core/heteromap.cc)
+ * static_asserts these against kNumFeatures / kNumOutputs so a
+ * drifting paper constant
  * fails the build instead of truncating records.
  */
 inline constexpr std::size_t kAuditFeatureDims = 17;

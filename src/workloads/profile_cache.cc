@@ -32,4 +32,11 @@ ProfileCache::profile(const std::shared_ptr<const Workload> &workload,
     });
 }
 
+ProfileCache &
+globalProfileCache()
+{
+    static ProfileCache cache;
+    return cache;
+}
+
 } // namespace heteromap

@@ -1,9 +1,9 @@
 /**
  * @file
  * Memoized workload execution: a thread-safe, bounded LRU cache of
- * the WorkloadProfile a workload records on a graph, so the serving
- * path builds a BenchmarkCase without re-running the instrumented
- * graph algorithm for every batch (core/oracle.hh assembleCase).
+ * the WorkloadProfile a workload records on a graph, so the online
+ * path (HeteroMap::featurizeAndDeploy) builds a case without re-running
+ * the instrumented graph algorithm (core/oracle.hh assembleCase).
  *
  * Key: the workload's shared_ptr identity plus the graph's content
  * fingerprint (Graph::fingerprint()) and edge-weight hash
@@ -38,8 +38,11 @@ namespace heteromap {
 class ProfileCache
 {
   public:
+    /** Default entry bound: each service's cache and the global one. */
+    static constexpr std::size_t kDefaultCapacity = 64;
+
     /** @param capacity Entry bound (LRU evicts beyond it). */
-    explicit ProfileCache(std::size_t capacity);
+    explicit ProfileCache(std::size_t capacity = kDefaultCapacity);
 
     /**
      * The profile @p workload records on @p graph: cached, or
@@ -76,6 +79,9 @@ class ProfileCache
     BoundedLruMemo<Key, std::shared_ptr<const WorkloadProfile>, KeyHash>
         memo_;
 };
+
+/** The process-wide cache HeteroMap::predict featurizes through. */
+ProfileCache &globalProfileCache();
 
 } // namespace heteromap
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -620,6 +621,100 @@ TEST(ForensicsFlightRecorderTest, AuditTellsWhetherTheHeadLingered)
     EXPECT_NE(forensics::auditRecordToJson(records[1])
                   .find("\"stats_hit\":true"),
               std::string::npos);
+}
+
+/** PR, counting how often it executes. */
+class CountingWorkload : public Workload
+{
+  public:
+    std::string name() const override { return inner_->name(); }
+    BVariables bVariables() const override
+    {
+        return inner_->bVariables();
+    }
+    WorkloadOutput
+    run(const Graph &graph, Executor &exec) const override
+    {
+        runs.fetch_add(1);
+        return inner_->run(graph, exec);
+    }
+
+    mutable std::atomic<int> runs{0};
+
+  private:
+    std::unique_ptr<Workload> inner_ = makeWorkload("PR");
+};
+
+TEST(ForensicsFlightRecorderTest, WarmPredictDoesNotRerunTheWorkload)
+{
+    setLogVerbose(false);
+    Oracle oracle;
+    HeteroMap framework(pinnedPair(primaryPair()),
+                        makePredictor(PredictorKind::DecisionTree),
+                        oracle);
+    const auto workload = std::make_shared<const CountingWorkload>();
+    const Graph graph = generateMesh(192, 4, 3);
+
+    forensics::armFlightRecorder(64);
+    const Deployment cold = framework.predict(workload, graph, "mesh");
+    const Deployment warm = framework.predict(workload, graph, "mesh");
+    const std::vector<forensics::AuditRecord> records =
+        forensics::drainAuditRecords();
+    forensics::disarmFlightRecorder();
+
+    EXPECT_EQ(workload->runs.load(), 1);
+    EXPECT_EQ(warm.config, cold.config);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_FALSE(records[0].statsHit);
+    EXPECT_TRUE(records[1].statsHit);
+}
+
+TEST(ForensicsFlightRecorderTest, LibraryRecordMatchesTheServedRecord)
+{
+    // predict() and the service fill a record's prediction fields
+    // through one helper, so the same request reads the same in both.
+    setLogVerbose(false);
+    Oracle oracle;
+    serve::ModelRegistry registry(pinnedPair(primaryPair()), oracle);
+    registry.publish(PredictorKind::DecisionTree,
+                     makePredictor(PredictorKind::DecisionTree));
+    serve::ServiceOptions options;
+    options.workers = 1;
+    serve::PredictionService service(registry, options);
+    serve::ServeRequest request;
+    request.workload =
+        std::shared_ptr<const Workload>(makeWorkload("SSSP-BF"));
+    request.graph =
+        std::make_shared<const Graph>(generateMesh(320, 4, 7));
+    request.inputName = "mesh";
+
+    forensics::armFlightRecorder(64);
+    registry.current()->framework->predict(
+        request.workload, *request.graph, request.inputName);
+    const serve::ServeResponse served = service.submit(request).get();
+    service.close();
+    const std::vector<forensics::AuditRecord> records =
+        forensics::drainAuditRecords();
+    forensics::disarmFlightRecorder();
+
+    ASSERT_EQ(served.status, serve::ServeStatus::Ok);
+    ASSERT_EQ(records.size(), 2u);
+    // Rings drain per thread; a library record carries request id 0.
+    const bool library_first = records[0].requestId == 0;
+    const forensics::AuditRecord &library = records[library_first ? 0 : 1];
+    const forensics::AuditRecord &serving = records[library_first ? 1 : 0];
+    ASSERT_EQ(library.requestId, 0u);
+    ASSERT_EQ(serving.requestId, served.requestId);
+
+    EXPECT_STREQ(library.modelKind, serving.modelKind);
+    EXPECT_STREQ(library.workload, serving.workload);
+    EXPECT_STREQ(library.workload, "SSSP-BF");
+    EXPECT_EQ(library.features, serving.features);
+    EXPECT_EQ(library.scores, serving.scores);
+    EXPECT_STREQ(library.accelerator, serving.accelerator);
+    EXPECT_GE(library.treeLeaf, 0);
+    EXPECT_EQ(library.treeLeaf, serving.treeLeaf);
+    EXPECT_EQ(library.treePredicateMask, serving.treePredicateMask);
 }
 
 /* -------------------------- statusz --------------------------- */

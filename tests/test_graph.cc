@@ -8,8 +8,6 @@
 #include <sstream>
 
 #include "graph/builder.hh"
-#include "graph/chunker.hh"
-#include "graph/compressed_csr.hh"
 #include "graph/generators.hh"
 #include "graph/graph.hh"
 #include "graph/io.hh"
@@ -257,77 +255,6 @@ TEST(IoTest, MissingFileIsARecoverableIoError)
         tryLoadEdgeListFile("/nonexistent/heteromap-no-such-file");
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, ErrorCode::Io);
-}
-
-// ---------------------------------------------------------------
-// Delta-encoded compressed CSR (the chunked-streaming format).
-// ---------------------------------------------------------------
-
-TEST(CompressedCsrTest, RoundTripsExactCsrArrays)
-{
-    const Graph graphs[] = {
-        Graph{},
-        generateCycle(257),
-        generateRmat(10, 8.0, 17),
-        generateUniformRandom(2000, 12000, 5), // weighted
-    };
-    for (const Graph &g : graphs) {
-        CompressedCsr c = CompressedCsr::fromGraph(g);
-        EXPECT_EQ(c.numVertices(), g.numVertices());
-        EXPECT_EQ(c.numEdges(), g.numEdges());
-        Graph back = c.decompress();
-        EXPECT_EQ(back.offsets(), g.offsets());
-        EXPECT_EQ(back.rawNeighbors(), g.rawNeighbors());
-        EXPECT_EQ(back.hasWeights(), g.hasWeights());
-        for (EdgeId e = 0; e < g.numEdges(); ++e)
-            ASSERT_EQ(back.edgeWeight(e), g.edgeWeight(e));
-    }
-}
-
-TEST(CompressedCsrTest, StreamsNeighborsWithoutDecompressing)
-{
-    Graph g = generateRmat(9, 6.0, 23);
-    CompressedCsr c = CompressedCsr::fromGraph(g);
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        EXPECT_EQ(c.degree(v), g.degree(v));
-        std::vector<VertexId> streamed;
-        c.forEachNeighbor(v, [&](VertexId u) {
-            streamed.push_back(u);
-        });
-        const auto expected = g.neighbors(v);
-        ASSERT_EQ(streamed.size(), expected.size());
-        for (std::size_t i = 0; i < streamed.size(); ++i)
-            ASSERT_EQ(streamed[i], expected[i]);
-    }
-}
-
-TEST(CompressedCsrTest, LocalEdgesCompressBelowRawWidth)
-{
-    // A cycle's neighbors sit next to their source: each should
-    // encode in one or two bytes against the raw 4-byte VertexId.
-    Graph g = generateCycle(10000);
-    CompressedCsr c = CompressedCsr::fromGraph(g);
-    EXPECT_LT(c.payloadBytes(),
-              g.numEdges() * sizeof(VertexId) / 2);
-    EXPECT_GT(c.payloadBytes(), 0u);
-}
-
-TEST(CompressedCsrTest, ChunkerCompressedChunkMatchesChunk)
-{
-    Graph g = generateUniformRandom(4000, 24000, 11);
-    GraphChunker chunker(g, 64 * 1024);
-    ASSERT_GT(chunker.numChunks(), 1u);
-    for (std::size_t i = 0; i < chunker.numChunks(); ++i) {
-        GraphChunk raw = chunker.chunk(i);
-        GraphChunker::CompressedChunk packed =
-            chunker.compressedChunk(i);
-        EXPECT_EQ(packed.firstVertex, raw.firstVertex);
-        EXPECT_EQ(packed.haloBegin, raw.haloBegin);
-        EXPECT_EQ(packed.localToGlobal, raw.localToGlobal);
-        Graph back = packed.subgraph.decompress();
-        EXPECT_EQ(back.offsets(), raw.subgraph.offsets());
-        EXPECT_EQ(back.rawNeighbors(), raw.subgraph.rawNeighbors());
-    }
 }
 
 } // namespace

@@ -1155,6 +1155,9 @@ TEST_F(ServeServiceTest, CachedCasesAndServedDeploymentsMatchUncached)
                 ASSERT_EQ(served.status, ServeStatus::Ok);
                 EXPECT_TRUE(sameDeployment(served.deployment, expected))
                     << workload->name() << " pass " << pass;
+                EXPECT_TRUE(sameDeployment(
+                    framework.predict(workload, *graph, "g"), expected))
+                    << workload->name() << " predict pass " << pass;
                 ++checked;
             }
         }

@@ -459,12 +459,12 @@ TEST(Telemetry, PredictStageHistogramsSumToOverheadMs)
     telemetry::registry().reset();
 
     Graph graph = generateRmat(10, 8.0, /*seed=*/7);
-    auto workload = makeWorkload("PR");
+    std::shared_ptr<const Workload> workload = makeWorkload("PR");
     Oracle oracle;
     HeteroMap framework(primaryPair(),
                         makePredictor(PredictorKind::DecisionTree),
                         oracle);
-    Deployment out = framework.predict(*workload, graph, "probe");
+    Deployment out = framework.predict(workload, graph, "probe");
     setLogVerbose(true);
 
     telemetry::MetricsSnapshot snap = telemetry::registry().snapshot();
@@ -649,12 +649,12 @@ TEST(Telemetry, OffBuildPredictStillChargesOverhead)
 {
     setLogVerbose(false);
     Graph graph = generateRmat(9, 8.0, /*seed=*/5);
-    auto workload = makeWorkload("PR");
+    std::shared_ptr<const Workload> workload = makeWorkload("PR");
     Oracle oracle;
     HeteroMap framework(primaryPair(),
                         makePredictor(PredictorKind::DecisionTree),
                         oracle);
-    Deployment out = framework.predict(*workload, graph, "probe");
+    Deployment out = framework.predict(workload, graph, "probe");
     setLogVerbose(true);
     EXPECT_GT(out.overheadMs, 0.0);
     EXPECT_TRUE(telemetry::registry().snapshot().empty());
